@@ -9,14 +9,18 @@
  * reproduce the exact campaignChecksum and a byte-identical manifest
  * "results" section of the single-process run.  A final leg SIGKILLs
  * a worker mid-shard (the --die-after-results fault hook) and checks
- * the re-issued leases still converge to the same bits.  Exits
- * non-zero on any divergence — this is the CI smoke for the service.
+ * the re-issued leases still converge to the same bits.  Each leg is
+ * timed through the reaping of its workers: a worker must exit within
+ * kMaxReapSec of its coordinator returning ("reap s").  Exits non-zero
+ * on any divergence or slow reap — this is the CI smoke for the
+ * service.
  */
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -31,6 +35,9 @@ using namespace fidelity::bench;
 
 namespace
 {
+
+/** Longest a worker may outlive its coordinator's return. */
+constexpr double kMaxReapSec = 1.0;
 
 std::string
 socketPath(const std::string &tag)
@@ -67,11 +74,16 @@ spawnWorker(const std::string &addr, const std::string &name,
     ::_exit(127);
 }
 
-void
-reap(pid_t pid)
+/** Reap every worker of a leg; returns the seconds it took. */
+double
+reapAll(const std::vector<pid_t> &pids)
 {
-    int status = 0;
-    ::waitpid(pid, &status, 0);
+    return timeSeconds([&] {
+        for (pid_t pid : pids) {
+            int status = 0;
+            ::waitpid(pid, &status, 0);
+        }
+    });
 }
 
 } // namespace
@@ -105,12 +117,12 @@ main()
     const std::string want_results =
         jsonSection(readWholeFile(truth_manifest), "results");
 
-    Table t({"workers", "wall s", "inj/s", "speedup", "checksum",
-             "identical"});
+    Table t({"workers", "wall s", "reap s", "inj/s", "speedup",
+             "checksum", "identical"});
     char digest[20];
     std::snprintf(digest, sizeof(digest), "%016llx",
                   static_cast<unsigned long long>(want));
-    t.addRow({"in-process", Table::num(base_secs, 2),
+    t.addRow({"in-process", Table::num(base_secs, 2), "-",
               Table::num(static_cast<double>(truth.totalInjections) /
                              base_secs, 0),
               "1.00", digest, "-"});
@@ -129,6 +141,7 @@ main()
     }
 
     bool all_identical = true;
+    double worst_reap = 0.0;
     for (int workers : {1, 2, 4}) {
         const std::string sock =
             socketPath("w" + std::to_string(workers));
@@ -146,8 +159,8 @@ main()
         CoordinatorRun run;
         const double secs = timeSeconds(
             [&] { run = runCampaignCoordinator(req, copts); });
-        for (pid_t pid : pids)
-            reap(pid);
+        const double reap_secs = reapAll(pids);
+        worst_reap = std::max(worst_reap, reap_secs);
 
         const std::uint64_t got =
             run.complete ? campaignChecksum(run.result) : 0;
@@ -160,6 +173,7 @@ main()
         std::snprintf(digest, sizeof(digest), "%016llx",
                       static_cast<unsigned long long>(got));
         t.addRow({std::to_string(workers), Table::num(secs, 2),
+                  Table::num(reap_secs, 2),
                   Table::num(static_cast<double>(
                                  run.result.totalInjections) / secs, 0),
                   Table::num(base_secs / secs, 2), digest,
@@ -200,8 +214,8 @@ main()
         CoordinatorRun run;
         const double secs = timeSeconds(
             [&] { run = runCampaignCoordinator(req, copts); });
-        reap(victim);
-        reap(survivor);
+        const double reap_secs = reapAll({victim, survivor});
+        worst_reap = std::max(worst_reap, reap_secs);
         kill_identical =
             run.complete && campaignChecksum(run.result) == want;
         std::uint64_t expired = 0;
@@ -211,9 +225,16 @@ main()
                           ? "worker-death leg bit-identical ("
                           : "ERROR: worker-death leg diverged (")
                   << expired << " lease(s) re-issued, "
-                  << Table::num(secs, 2) << " s)\n"
+                  << Table::num(secs, 2) << " s, reap "
+                  << Table::num(reap_secs, 2) << " s)\n"
                   << std::flush;
     }
 
-    return all_identical && kill_identical ? 0 : 1;
+    const bool reaps_ok = worst_reap <= kMaxReapSec;
+    std::cout << (reaps_ok ? "workers reaped within "
+                           : "ERROR: a worker outlived its coordinator "
+                             "by more than ")
+              << Table::num(kMaxReapSec, 1) << " s (worst "
+              << Table::num(worst_reap, 2) << " s)\n";
+    return all_identical && kill_identical && reaps_ok ? 0 : 1;
 }

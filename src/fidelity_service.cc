@@ -9,19 +9,26 @@
  *              [--resume-from=PATH] [--report=PATH]
  *              [--stop-after-chunks=N]
  *       Serve one campaign's shard plan to workers, merge the
- *       journals, print the campaignChecksum.  Exits non-zero when
- *       the run is incomplete (stop hook).
+ *       journals, print the campaignChecksum.  One thread serves
+ *       every worker connection from a single poll loop, whatever
+ *       the fleet size.  Exits non-zero when the run is incomplete
+ *       (stop hook).
  *
- *   worker --connect=A [--name=S] [--threads=N] [--heartbeat=S]
+ *   worker --connect=A [--name=S] [--heartbeat=S]
  *          [--connect-timeout=S] [--die-after-results=N]
- *       Execute leased shard ranges for a coordinator.
+ *       Execute leased shard ranges for a coordinator.  The worker is
+ *       single-threaded: it builds its shard executor before READY,
+ *       runs each lease shard by shard with a HEARTBEAT between
+ *       shards every --heartbeat seconds, and exits as soon as DONE
+ *       arrives.
  *
- *   daemon --listen=A [--workers=N|--max-concurrent=N]
- *          [--max-queue=N] [--drr-quantum=N] [--state-dir=DIR]
+ *   daemon --listen=A [--workers=N] [--max-queue=N]
+ *          [--drr-quantum=N] [--state-dir=DIR]
  *          [--checkpoint-every=S] [--max-requests=N]
  *          [--recv-deadline=S] [--send-deadline=S]
  *       Long-running request server: REQUEST {campaign json} in,
- *       RESPONSE {manifest json} out.  A fixed pool of N workers
+ *       RESPONSE {manifest json} out.  The same poll loop as the
+ *       coordinator takes requests in; a fixed pool of N workers
  *       drains a bounded queue (overflow gets a typed "busy" error)
  *       under deficit-round-robin fairness across tenants; request
  *       failures answer that one client, never the process.
@@ -165,15 +172,13 @@ coordinateMain(const Options &opts)
 int
 workerMain(const Options &opts)
 {
-    opts.check({"connect", "name", "threads", "heartbeat",
-                "connect-timeout", "die-after-results"});
+    opts.check({"connect", "name", "heartbeat", "connect-timeout",
+                "die-after-results"});
     WorkerOptions wopts;
     wopts.connectAddr = opts.get("connect", "");
     fatal_if(wopts.connectAddr.empty(), "worker needs --connect\n",
              kUsage);
     wopts.name = opts.get("name", "worker");
-    wopts.threads =
-        static_cast<int>(opts.getInt("threads", 1, 1, 4096));
     wopts.heartbeatSec = opts.getDouble("heartbeat", 5.0, 0.1, 1e6);
     wopts.connectTimeoutSec =
         opts.getDouble("connect-timeout", 20.0, 0.1, 1e6);
@@ -185,19 +190,15 @@ workerMain(const Options &opts)
 int
 daemonMain(const Options &opts)
 {
-    opts.check({"listen", "workers", "max-concurrent", "max-queue",
-                "drr-quantum", "state-dir", "checkpoint-every",
-                "max-requests", "recv-deadline", "send-deadline"});
+    opts.check({"listen", "workers", "max-queue", "drr-quantum",
+                "state-dir", "checkpoint-every", "max-requests",
+                "recv-deadline", "send-deadline"});
     DaemonOptions dopts;
     dopts.listenAddr = opts.get("listen", "");
     fatal_if(dopts.listenAddr.empty(), "daemon needs --listen\n",
              kUsage);
-    // --workers is the pool-size name; --max-concurrent remains as
-    // the historical alias (--workers wins when both are given).
     dopts.maxConcurrent =
-        static_cast<int>(opts.getInt("max-concurrent", 2, 1, 1024));
-    dopts.maxConcurrent = static_cast<int>(
-        opts.getInt("workers", dopts.maxConcurrent, 1, 1024));
+        static_cast<int>(opts.getInt("workers", 2, 1, 1024));
     dopts.maxQueue =
         static_cast<int>(opts.getInt("max-queue", 32, 1, 1 << 20));
     dopts.drrQuantum = static_cast<int>(

@@ -1,7 +1,6 @@
 #include "sim/service.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -9,7 +8,9 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -33,7 +34,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 #endif
@@ -451,6 +451,15 @@ parseServiceAddr(const std::string &addr)
           "' must start with unix: or tcp:");
 }
 
+sockaddr_un
+unixSockaddr(const std::string &path)
+{
+    sockaddr_un sa{};
+    sa.sun_family = AF_UNIX;
+    std::strncpy(sa.sun_path, path.c_str(), sizeof(sa.sun_path) - 1);
+    return sa;
+}
+
 int
 listenOn(const ServiceAddr &a)
 {
@@ -460,10 +469,7 @@ listenOn(const ServiceAddr &a)
         fatal_if(fd < 0, "cannot create unix socket: ",
                  std::strerror(errno));
         ::unlink(a.path.c_str()); // stale socket from a dead process
-        sockaddr_un sa{};
-        sa.sun_family = AF_UNIX;
-        std::strncpy(sa.sun_path, a.path.c_str(),
-                     sizeof(sa.sun_path) - 1);
+        sockaddr_un sa = unixSockaddr(a.path);
         fatal_if(::bind(fd, reinterpret_cast<sockaddr *>(&sa),
                         sizeof(sa)) != 0,
                  "cannot bind ", a.path, ": ", std::strerror(errno));
@@ -502,10 +508,7 @@ connectOnce(const ServiceAddr &a)
         int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
         if (fd < 0)
             return -1;
-        sockaddr_un sa{};
-        sa.sun_family = AF_UNIX;
-        std::strncpy(sa.sun_path, a.path.c_str(),
-                     sizeof(sa.sun_path) - 1);
+        sockaddr_un sa = unixSockaddr(a.path);
         if (::connect(fd, reinterpret_cast<sockaddr *>(&sa),
                       sizeof(sa)) != 0) {
             ::close(fd);
@@ -550,13 +553,9 @@ connectWithRetry(const ServiceAddr &a, const std::string &addr,
     }
 }
 
-/**
- * Default frame-write deadline of coordinator/worker traffic.  A
- * stalled-but-open peer (kernel buffers full, reader wedged) used to
- * pin the writing thread in blocking ::send forever; now it costs at
- * most this long, after which the peer is treated as dead — the same
- * outcome its lease expiry would reach anyway.
- */
+/** Default frame-write deadline of coordinator/worker traffic: a
+ *  stalled-but-open peer costs at most this long, then counts as dead
+ *  — the outcome its lease expiry would reach anyway. */
 constexpr double kFrameWriteDeadlineSec = 120.0;
 
 /** sendBytesWithDeadline with the service-internal default. */
@@ -566,74 +565,219 @@ sendBytes(int fd, std::string_view bytes)
     return sendBytesWithDeadline(fd, bytes, kFrameWriteDeadlineSec);
 }
 
-/** Frame reader over one socket: buffers bytes and yields frames via
- *  the streaming decoder; a Malformed verdict poisons the peer. */
+/** Milliseconds a poll may wait before `deadline` (nowSec): -1 when
+ *  timeout_sec < 0 (no deadline), 0 once the deadline has passed. */
+int
+pollWaitMs(double timeout_sec, double deadline)
+{
+    if (timeout_sec < 0.0)
+        return -1;
+    const double left = std::min(deadline - nowSec(), 1e6);
+    return left <= 0.0 ? 0 : static_cast<int>(left * 1000.0) + 1;
+}
+
+/** Blocking frame reader of a connecting side (worker, submit):
+ *  buffers bytes and yields frames via the streaming decoder. */
 class FrameConn
 {
   public:
     explicit FrameConn(int fd) : fd_(fd) {}
 
-    enum class Status { Frame, Timeout, Closed, Malformed };
-
-    /** Read one frame, waiting at most timeout_sec (< 0 = forever). */
-    Status
+    /** Read one frame, waiting at most timeout_sec (< 0 = forever).
+     *  False with `err` on a timeout, a closed peer, or a malformed
+     *  stream. */
+    bool
     readFrame(Frame &f, double timeout_sec, std::string &err)
     {
-        const bool bounded = timeout_sec >= 0.0;
         const double deadline = nowSec() + timeout_sec;
         for (;;) {
             std::size_t consumed = 0;
-            switch (tryDecodeFrame(buf_, f, consumed, err)) {
-            case FrameDecodeStatus::Complete:
+            const FrameDecodeStatus st =
+                tryDecodeFrame(buf_, f, consumed, err);
+            if (st == FrameDecodeStatus::Complete) {
                 buf_.erase(0, consumed);
-                return Status::Frame;
-            case FrameDecodeStatus::Malformed:
-                return Status::Malformed;
-            case FrameDecodeStatus::NeedMore:
-                break;
+                return true;
             }
-            int wait_ms = 200;
-            if (bounded) {
-                const double left = deadline - nowSec();
-                if (left <= 0.0)
-                    return Status::Timeout;
-                wait_ms = std::min(
-                    wait_ms,
-                    static_cast<int>(left * 1000.0) + 1);
+            if (st == FrameDecodeStatus::Malformed)
+                return false;
+            const int wait_ms = pollWaitMs(timeout_sec, deadline);
+            if (wait_ms == 0) {
+                err = "timed out waiting for a frame";
+                return false;
             }
             pollfd pfd{fd_, POLLIN, 0};
-            int rc = ::poll(&pfd, 1, wait_ms);
-            if (rc < 0) {
-                if (errno == EINTR)
-                    continue;
+            const int rc = ::poll(&pfd, 1, wait_ms);
+            if (rc < 0 && errno != EINTR) {
                 err = describe("poll failed: ", std::strerror(errno));
-                return Status::Closed;
+                return false;
             }
-            if (rc == 0) {
-                if (bounded && nowSec() >= deadline)
-                    return Status::Timeout;
-                continue;
-            }
+            if (rc <= 0)
+                continue; // EINTR, or a timeout the next pass reports
             char chunk[16384];
-            ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+            const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
             if (n == 0) {
                 err = "peer closed the connection";
-                return Status::Closed;
+                return false;
             }
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                err = describe("recv failed: ",
-                               std::strerror(errno));
-                return Status::Closed;
+            if (n < 0 && errno != EINTR) {
+                err = describe("recv failed: ", std::strerror(errno));
+                return false;
             }
-            buf_.append(chunk, static_cast<std::size_t>(n));
+            if (n > 0)
+                buf_.append(chunk, static_cast<std::size_t>(n));
         }
     }
 
   private:
     int fd_;
     std::string buf_;
+};
+
+// ----- Poll-loop core -----------------------------------------------
+
+/** Poll tick of every listening side: the longest a lease expiry, a
+ *  receive deadline, or a shutdown check waits to be noticed. */
+constexpr int kPollTickMs = 200;
+
+/** Receive deadline of a connection with no frame due. */
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/** What a connection's owner wants after one of its frames. */
+enum class ConnNext { Keep, Close, HandOff /* owner took the fd */ };
+
+/** Why the loop ends a connection itself (closing it afterwards). */
+enum class ConnFault { Closed, Malformed, Timeout };
+
+/**
+ * The one I/O core of every listening side (coordinator and daemon).
+ * A single thread polls the listen socket and every open connection,
+ * accepts, assembles frames with non-blocking recv and the streaming
+ * decoder, and enforces each connection's receive deadline.  The
+ * owner handles events — onAccept(conn), onFrame(conn, frame) ->
+ * ConnNext, onFault(conn, fault, why) — and never blocks on a read,
+ * so a listener needs no thread per connection: per-connection
+ * `State` is touched by the polling thread alone.
+ */
+template <typename State>
+class PollLoop
+{
+  public:
+    struct Conn
+    {
+        int fd = -1;
+        std::string buf;               //!< received, not yet decoded
+        double deadline = kNoDeadline; //!< next frame due by (nowSec)
+        State state{};
+    };
+
+    explicit PollLoop(int listen_fd) : listenFd_(listen_fd) {}
+    PollLoop(const PollLoop &) = delete;
+    PollLoop &operator=(const PollLoop &) = delete;
+
+    /** Closes every connection still open. */
+    ~PollLoop()
+    {
+        for (Conn &c : conns_)
+            ::close(c.fd);
+    }
+
+    bool empty() const { return conns_.empty(); }
+
+    /** Wait up to kPollTickMs for activity and report it to `owner`. */
+    template <typename Owner>
+    void
+    turn(Owner &owner)
+    {
+        std::vector<pollfd> pfds{pollfd{listenFd_, POLLIN, 0}};
+        for (const Conn &c : conns_)
+            pfds.push_back(pollfd{c.fd, POLLIN, 0});
+        if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+                   kPollTickMs) < 0) {
+            fatal_if(errno != EINTR, "poll failed: ",
+                     std::strerror(errno));
+            return;
+        }
+        const double now = nowSec();
+        std::size_t at = 1; // conns_ is in pfds order until the accept
+        sweep([&](Conn &c) {
+            return serve(c, pfds[at++].revents, now, owner);
+        });
+        if (pfds[0].revents & POLLIN) {
+            Conn c;
+            c.fd = ::accept(listenFd_, nullptr, nullptr);
+            if (c.fd >= 0) {
+                owner.onAccept(c);
+                conns_.push_back(std::move(c));
+            }
+        }
+    }
+
+    /** Apply fn(conn) -> ConnNext to every connection, in order. */
+    template <typename Fn>
+    void
+    sweep(Fn &&fn)
+    {
+        std::vector<Conn> keep;
+        for (Conn &c : conns_) {
+            const ConnNext next = fn(c);
+            if (next == ConnNext::Keep)
+                keep.push_back(std::move(c));
+            else if (next == ConnNext::Close)
+                ::close(c.fd);
+        }
+        conns_.swap(keep);
+    }
+
+  private:
+    template <typename Owner>
+    ConnNext
+    serve(Conn &c, short revents, double now, Owner &owner)
+    {
+        if (revents != 0) {
+            char chunk[16384];
+            const ssize_t n =
+                ::recv(c.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+            if (n > 0) {
+                c.buf.append(chunk, static_cast<std::size_t>(n));
+            } else if (n == 0 ||
+                       (errno != EAGAIN && errno != EWOULDBLOCK &&
+                        errno != EINTR)) {
+                owner.onFault(c, ConnFault::Closed,
+                              n == 0 ? std::string("peer closed")
+                                     : std::strerror(errno));
+                return ConnNext::Close;
+            }
+            for (;;) {
+                Frame f;
+                std::size_t consumed = 0;
+                std::string err;
+                const FrameDecodeStatus st =
+                    tryDecodeFrame(c.buf, f, consumed, err);
+                if (st == FrameDecodeStatus::NeedMore)
+                    break;
+                if (st == FrameDecodeStatus::Malformed) {
+                    owner.onFault(c, ConnFault::Malformed, err);
+                    return ConnNext::Close;
+                }
+                c.buf.erase(0, consumed);
+                const ConnNext next = owner.onFrame(c, f);
+                if (next != ConnNext::Keep)
+                    return next;
+            }
+        }
+        if (c.deadline < now) {
+            // Slow loris: a peer that cannot deliver its next frame by
+            // the deadline is shed, not allowed to hold state forever.
+            owner.onFault(c, ConnFault::Timeout,
+                          "no complete frame within the receive "
+                          "deadline");
+            return ConnNext::Close;
+        }
+        return ConnNext::Keep;
+    }
+
+    int listenFd_;
+    std::vector<Conn> conns_;
 };
 
 std::string
@@ -651,7 +795,6 @@ readWholeFile(const std::string &path)
 bool
 sendBytesWithDeadline(int fd, std::string_view bytes, double timeoutSec)
 {
-    const bool bounded = timeoutSec >= 0.0;
     const double deadline = nowSec() + timeoutSec;
     const char *p = bytes.data();
     std::size_t left = bytes.size();
@@ -669,14 +812,9 @@ sendBytesWithDeadline(int fd, std::string_view bytes, double timeoutSec)
         if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
             errno != EINTR)
             return false;
-        int wait_ms = 200;
-        if (bounded) {
-            const double remaining = deadline - nowSec();
-            if (remaining <= 0.0)
-                return false;
-            wait_ms = std::min(
-                wait_ms, static_cast<int>(remaining * 1000.0) + 1);
-        }
+        const int wait_ms = pollWaitMs(timeoutSec, deadline);
+        if (wait_ms == 0)
+            return false;
         pollfd pfd{fd, POLLOUT, 0};
         int rc = ::poll(&pfd, 1, wait_ms);
         if (rc < 0 && errno != EINTR)
@@ -692,44 +830,69 @@ sendBytesWithDeadline(int fd, std::string_view bytes, double timeoutSec)
 namespace
 {
 
-/** Shared state of one coordinator run. */
+/** Where a worker connection is in its conversation. */
+enum class WorkerPhase
+{
+    AwaitHello, //!< accepted; HELLO due
+    AwaitReady, //!< SPEC sent; READY due once the executor is built
+    Idle,       //!< waiting for a LEASE (or DONE)
+    Leased      //!< executing a LEASE; HEARTBEATs, then its RESULT
+};
+
+/** Per-connection state of the coordinator's poll loop. */
+struct WorkerConn
+{
+    WorkerPhase phase = WorkerPhase::AwaitHello;
+    std::string peer = "worker";
+};
+
+/** Seconds an accepted worker has to send HELLO, and then READY (it
+ *  builds its executor in between). */
+constexpr double kHelloDeadlineSec = 30.0;
+constexpr double kReadyDeadlineSec = 60.0;
+
+/**
+ * One coordinator run: a per-connection state machine (HELLO → READY
+ * → idle/leased) driven by a single-threaded PollLoop.  The lease
+ * book, merged journals, and topology belong to the polling thread,
+ * so nothing here is shared and nothing is locked.
+ */
 struct CoordCtx
 {
-    std::mutex m;
-    std::condition_variable cv;
+    using Conn = PollLoop<WorkerConn>::Conn;
 
     LeaseBook book;
     std::map<std::uint64_t, ShardRecord> merged; //!< by ordinal
 
     std::uint64_t cfgHash = 0;
     std::string requestJson;
-    const CoordinatorOptions *opts = nullptr;
+    const CoordinatorOptions &opts;
 
     bool stopRequested = false; //!< stopAfterMergedChunks fired
     double lastCheckpoint = 0.0;
 
     WorkerTopology topo;
 
-    CoordCtx(std::uint64_t plan_shards, std::uint64_t lease_shards)
-        : book(plan_shards, lease_shards)
+    CoordCtx(std::uint64_t plan_shards, const CoordinatorOptions &o)
+        : book(plan_shards, o.leaseShards), opts(o)
     {}
 
-    /** Under m: nothing left to serve. */
+    /** Nothing left to lease. */
     bool
     doneServing() const
     {
         return stopRequested || book.allMerged();
     }
 
-    /** Under m: write the merged journals to the checkpoint path. */
+    /** Write the merged journals to the checkpoint path. */
     void
-    checkpointLocked(bool final_write)
+    checkpoint(bool final_write)
     {
-        if (opts->checkpointPath.empty())
+        if (opts.checkpointPath.empty())
             return;
         const double now = nowSec();
         if (!final_write &&
-            now - lastCheckpoint < opts->checkpointEverySec)
+            now - lastCheckpoint < opts.checkpointEverySec)
             return;
         lastCheckpoint = now;
         CampaignSnapshot snap;
@@ -737,223 +900,186 @@ struct CoordCtx
         snap.shards.reserve(merged.size());
         for (const auto &[ordinal, rec] : merged)
             snap.shards.push_back(rec);
-        writeSnapshot(opts->checkpointPath, snap);
+        writeSnapshot(opts.checkpointPath, snap);
     }
 
     WorkerProcessTelemetry &
-    workerSlotLocked(const std::string &name)
+    workerSlot(const std::string &name)
     {
         for (WorkerProcessTelemetry &w : topo.workers)
             if (w.name == name)
                 return w;
-        WorkerProcessTelemetry w;
-        w.name = name;
-        topo.workers.push_back(std::move(w));
+        topo.workers.emplace_back().name = name;
         return topo.workers.back();
     }
-};
 
-void serveWorkerConn(int fd, CoordCtx &ctx);
-
-/** Serve one worker connection (one thread each).  Every exit path —
- *  handshake rejection, disconnect, DONE — must release the socket:
- *  a dropped peer otherwise holds its fd (and its peer's recv) until
- *  the whole process exits. */
-void
-serveWorker(int fd, CoordCtx &ctx)
-{
-    serveWorkerConn(fd, ctx);
-    ::close(fd);
-}
-
-void
-serveWorkerConn(int fd, CoordCtx &ctx)
-{
-    FrameConn conn(fd);
-    Frame f;
-    std::string err;
-    std::string peer = "worker";
-
-    auto drop = [&](const std::string &why) {
-        warn("dropping ", peer, ": ", why);
-        sendBytes(fd, encodeErrorFrame(why));
-        std::lock_guard<std::mutex> lock(ctx.m);
-        const std::uint64_t reverted = ctx.book.release(peer);
-        if (reverted > 0)
-            ctx.workerSlotLocked(peer).leasesExpired += reverted;
-        ctx.cv.notify_all();
-    };
-
-    // HELLO → SPEC → READY handshake.
-    if (conn.readFrame(f, 30.0, err) != FrameConn::Status::Frame)
-        return;
-    HelloPayload hello;
-    if (!tryParseHello(f, hello, err)) {
-        drop(err);
-        return;
-    }
-    peer = hello.worker.empty() ? "unnamed worker" : hello.worker;
-    if (hello.version != kServiceProtocolVersion) {
-        drop(describe("protocol version ", hello.version,
-                      " does not match coordinator version ",
-                      kServiceProtocolVersion));
-        return;
-    }
+    /** The connection is gone: re-issue the lease it held, if any. */
+    std::uint64_t
+    release(const Conn &c)
     {
-        std::lock_guard<std::mutex> lock(ctx.m);
-        WorkerProcessTelemetry &w = ctx.workerSlotLocked(peer);
-        w.threads = static_cast<int>(hello.threads);
-    }
-    SpecPayload spec;
-    spec.configHash = ctx.cfgHash;
-    spec.requestJson = ctx.requestJson;
-    if (!sendBytes(fd, encodeSpec(spec)))
-        return;
-    if (conn.readFrame(f, 60.0, err) != FrameConn::Status::Frame)
-        return;
-    ReadyPayload ready;
-    if (!tryParseReady(f, ready, err)) {
-        drop(err);
-        return;
-    }
-    if (ready.configHash != ctx.cfgHash) {
-        // The worker rebuilt a different campaign from the same spec —
-        // a build/version skew that would silently corrupt the merge.
-        drop(describe("READY config hash ", hexHash(ready.configHash),
-                      " does not match campaign ",
-                      hexHash(ctx.cfgHash)));
-        return;
+        if (c.state.phase != WorkerPhase::Leased)
+            return 0;
+        const std::uint64_t reverted = book.release(c.state.peer);
+        if (reverted > 0)
+            workerSlot(c.state.peer).leasesExpired += reverted;
+        return reverted;
     }
 
-    for (;;) {
-        // Grant a lease (or finish).
-        std::uint64_t first = 0, count = 0;
-        {
-            std::unique_lock<std::mutex> lock(ctx.m);
-            for (;;) {
-                if (ctx.doneServing()) {
-                    sendBytes(fd, encodeDone());
-                    return;
-                }
-                if (ctx.book.lease(peer, nowSec(),
-                                   ctx.opts->leaseTimeoutSec, first,
-                                   count)) {
-                    ctx.workerSlotLocked(peer).leases += 1;
-                    break;
-                }
-                // Everything is leased out; wait for a merge, an
-                // expiry, or completion.
-                ctx.cv.wait_for(lock,
-                                std::chrono::milliseconds(250));
-            }
-        }
-        LeasePayload lease{first, count};
-        if (!sendBytes(fd, encodeLease(lease))) {
-            drop("connection lost while sending LEASE");
-            return;
-        }
-
-        // Await the RESULT (heartbeats interleave).
-        bool merged_one = false;
-        while (!merged_one) {
-            switch (conn.readFrame(f, 0.5, err)) {
-            case FrameConn::Status::Timeout:
-                // The worker is executing; lease expiry (if it is
-                // actually dead) is the book's business.
-                continue;
-            case FrameConn::Status::Closed: {
-                std::lock_guard<std::mutex> lock(ctx.m);
-                const std::uint64_t reverted = ctx.book.release(peer);
-                if (reverted > 0) {
-                    ctx.workerSlotLocked(peer).leasesExpired +=
-                        reverted;
-                    warn(peer, " disconnected mid-lease; ", reverted,
-                         " chunk(s) re-issued");
-                }
-                ctx.cv.notify_all();
-                return;
-            }
-            case FrameConn::Status::Malformed:
-                drop(err);
-                return;
-            case FrameConn::Status::Frame:
-                break;
-            }
-            if (f.type == FrameType::Heartbeat) {
-                std::lock_guard<std::mutex> lock(ctx.m);
-                ctx.book.heartbeat(peer, nowSec(),
-                                   ctx.opts->leaseTimeoutSec);
-                continue;
-            }
-            ResultPayload result;
-            if (!tryParseResult(f, result, err)) {
-                drop(err);
-                return;
-            }
-            // The journal travels as FIDCKPT bytes; the decoder
-            // validates every count against the byte budget, so a
-            // corrupt journal names the peer instead of allocating.
-            CampaignSnapshot snap;
-            if (!tryDecodeSnapshot(result.journal.data(),
-                                   result.journal.size(),
-                                   "RESULT journal from " + peer, snap,
-                                   err)) {
-                drop(err);
-                return;
-            }
-            if (snap.configHash != ctx.cfgHash) {
-                drop(describe("RESULT journal config hash ",
-                              hexHash(snap.configHash),
-                              " does not match campaign ",
-                              hexHash(ctx.cfgHash)));
-                return;
-            }
-            if (snap.shards.size() != result.count ||
-                (result.count > 0 &&
-                 (snap.shards.front().ordinal < result.first ||
-                  snap.shards.back().ordinal >=
-                      result.first + result.count))) {
-                drop(describe("RESULT journal does not cover shards [",
-                              result.first, ", ",
-                              result.first + result.count, ")"));
-                return;
-            }
-
-            std::lock_guard<std::mutex> lock(ctx.m);
-            switch (ctx.book.complete(result.first, result.count)) {
-            case LeaseBook::ResultOutcome::Unknown:
-                drop(describe("RESULT for unknown lease [",
-                              result.first, ", ",
-                              result.first + result.count, ")"));
-                return;
-            case LeaseBook::ResultOutcome::Duplicate:
-                // A slow worker raced a re-issue; the journals are
-                // deterministic, so dropping the copy is lossless.
-                inform("duplicate RESULT for shards [", result.first,
-                       ", ", result.first + result.count, ") from ",
-                       peer, " ignored");
-                merged_one = true;
-                break;
-            case LeaseBook::ResultOutcome::Merged: {
-                WorkerProcessTelemetry &w = ctx.workerSlotLocked(peer);
-                w.shards += result.count;
-                for (ShardRecord &r : snap.shards) {
-                    w.injections += r.trials;
-                    ctx.merged[r.ordinal] = std::move(r);
-                }
-                if (ctx.opts->stopAfterMergedChunks > 0 &&
-                    ctx.book.mergedChunks() >=
-                        ctx.opts->stopAfterMergedChunks)
-                    ctx.stopRequested = true;
-                ctx.checkpointLocked(false);
-                merged_one = true;
-                break;
-            }
-            }
-            ctx.cv.notify_all();
-        }
+    ConnNext
+    drop(Conn &c, const std::string &why)
+    {
+        warn("dropping ", c.state.peer, ": ", why);
+        sendBytes(c.fd, encodeErrorFrame(why));
+        release(c);
+        return ConnNext::Close;
     }
-}
+
+    void
+    onAccept(Conn &c)
+    {
+        c.deadline = nowSec() + kHelloDeadlineSec;
+    }
+
+    void
+    onFault(Conn &c, ConnFault fault, const std::string &why)
+    {
+        if (fault != ConnFault::Closed)
+            drop(c, why);
+        else if (const std::uint64_t n = release(c); n > 0)
+            warn(c.state.peer, " disconnected mid-lease; ", n,
+                 " chunk(s) re-issued");
+    }
+
+    ConnNext
+    onFrame(Conn &c, const Frame &f)
+    {
+        WorkerConn &w = c.state;
+        std::string err;
+        if (w.phase == WorkerPhase::AwaitHello) {
+            HelloPayload hello;
+            if (!tryParseHello(f, hello, err))
+                return drop(c, err);
+            w.peer = hello.worker.empty() ? "unnamed worker"
+                                          : hello.worker;
+            if (hello.version != kServiceProtocolVersion)
+                return drop(c, describe("protocol version ",
+                                        hello.version,
+                                        " does not match coordinator "
+                                        "version ",
+                                        kServiceProtocolVersion));
+            workerSlot(w.peer).threads = static_cast<int>(hello.threads);
+            const SpecPayload spec{cfgHash, requestJson};
+            if (!sendBytes(c.fd, encodeSpec(spec)))
+                return ConnNext::Close;
+            w.phase = WorkerPhase::AwaitReady;
+            c.deadline = nowSec() + kReadyDeadlineSec;
+            return ConnNext::Keep;
+        }
+        if (w.phase == WorkerPhase::AwaitReady) {
+            ReadyPayload ready;
+            if (!tryParseReady(f, ready, err))
+                return drop(c, err);
+            if (ready.configHash != cfgHash)
+                // The worker rebuilt a different campaign from the same
+                // spec — a build/version skew that would silently
+                // corrupt the merge.
+                return drop(c, describe("READY config hash ",
+                                        hexHash(ready.configHash),
+                                        " does not match campaign ",
+                                        hexHash(cfgHash)));
+            w.phase = WorkerPhase::Idle;
+            c.deadline = kNoDeadline;
+            return ConnNext::Keep;
+        }
+        if (f.type == FrameType::Heartbeat) {
+            book.heartbeat(w.peer, nowSec(), opts.leaseTimeoutSec);
+            return ConnNext::Keep;
+        }
+        return onResult(c, f);
+    }
+
+    ConnNext
+    onResult(Conn &c, const Frame &f)
+    {
+        const std::string &peer = c.state.peer;
+        std::string err;
+        ResultPayload result;
+        if (!tryParseResult(f, result, err))
+            return drop(c, err);
+        // The journal travels as FIDCKPT bytes; the decoder validates
+        // every count against the byte budget, so a corrupt journal
+        // names the peer instead of allocating.
+        CampaignSnapshot snap;
+        if (!tryDecodeSnapshot(result.journal.data(),
+                               result.journal.size(),
+                               "RESULT journal from " + peer, snap, err))
+            return drop(c, err);
+        if (snap.configHash != cfgHash)
+            return drop(c, describe("RESULT journal config hash ",
+                                    hexHash(snap.configHash),
+                                    " does not match campaign ",
+                                    hexHash(cfgHash)));
+        const std::uint64_t end = result.first + result.count;
+        if (snap.shards.size() != result.count ||
+            (result.count > 0 &&
+             (snap.shards.front().ordinal < result.first ||
+              snap.shards.back().ordinal >= end)))
+            return drop(c, describe("RESULT journal does not cover "
+                                    "shards [", result.first, ", ", end,
+                                    ")"));
+
+        switch (book.complete(result.first, result.count)) {
+        case LeaseBook::ResultOutcome::Unknown:
+            return drop(c, describe("RESULT for unknown lease [",
+                                    result.first, ", ", end, ")"));
+        case LeaseBook::ResultOutcome::Duplicate:
+            // A slow worker raced a re-issue; the journals are
+            // deterministic, so dropping the copy is lossless.
+            inform("duplicate RESULT for shards [", result.first, ", ",
+                   end, ") from ", peer, " ignored");
+            break;
+        case LeaseBook::ResultOutcome::Merged: {
+            WorkerProcessTelemetry &w = workerSlot(peer);
+            w.shards += result.count;
+            for (ShardRecord &r : snap.shards) {
+                w.injections += r.trials;
+                merged[r.ordinal] = std::move(r);
+            }
+            if (opts.stopAfterMergedChunks > 0 &&
+                book.mergedChunks() >= opts.stopAfterMergedChunks)
+                stopRequested = true;
+            checkpoint(false);
+            break;
+        }
+        }
+        c.state.phase = WorkerPhase::Idle;
+        return ConnNext::Keep;
+    }
+
+    /** End-of-turn pass over every connection: an idle worker gets
+     *  the next chunk, or DONE once nothing is left to lease. */
+    ConnNext
+    grant(Conn &c)
+    {
+        if (c.state.phase != WorkerPhase::Idle)
+            return ConnNext::Keep;
+        if (doneServing()) {
+            sendBytes(c.fd, encodeDone());
+            return ConnNext::Close;
+        }
+        // lease() reverts expired leases first, so an expiry frees its
+        // chunk for the first idle worker of the turn that notices it.
+        LeasePayload lease;
+        if (!book.lease(c.state.peer, nowSec(), opts.leaseTimeoutSec,
+                        lease.first, lease.count))
+            return ConnNext::Keep; // all leased out; wait for a merge
+        workerSlot(c.state.peer).leases += 1;
+        c.state.phase = WorkerPhase::Leased;
+        if (!sendBytes(c.fd, encodeLease(lease)))
+            return drop(c, "connection lost while sending LEASE");
+        return ConnNext::Keep;
+    }
+};
 
 } // namespace
 
@@ -972,10 +1098,9 @@ runCampaignCoordinator(const ServiceRequest &req,
     const std::vector<ShardPlanEntry> plan = fixedShardPlan(net, cfg);
     fatal_if(plan.empty(), "campaign request plans zero shards");
 
-    CoordCtx ctx(plan.size(), opts.leaseShards);
+    CoordCtx ctx(plan.size(), opts);
     ctx.cfgHash = cfg_hash;
     ctx.requestJson = serviceRequestJson(req);
-    ctx.opts = &opts;
     ctx.topo.coordinator = opts.listenAddr;
     ctx.topo.leaseShards = opts.leaseShards;
 
@@ -992,15 +1117,12 @@ runCampaignCoordinator(const ServiceRequest &req,
             ctx.merged[r.ordinal] = std::move(r);
         for (std::uint64_t first = 0; first < plan.size();
              first += opts.leaseShards) {
+            // A chunk is merged only when all its ordinals are.
             const std::uint64_t count =
                 std::min(opts.leaseShards, plan.size() - first);
-            bool covered = true;
-            for (std::uint64_t o = first; o < first + count; ++o)
-                if (ctx.merged.find(o) == ctx.merged.end()) {
-                    covered = false;
-                    break;
-                }
-            if (covered)
+            if (std::distance(ctx.merged.lower_bound(first),
+                              ctx.merged.lower_bound(first + count)) ==
+                static_cast<std::ptrdiff_t>(count))
                 ctx.book.markMerged(first, count);
         }
         inform("coordinator resuming: ", ctx.merged.size(),
@@ -1014,42 +1136,22 @@ runCampaignCoordinator(const ServiceRequest &req,
            ctx.book.chunkCount(), " chunks of ", opts.leaseShards,
            ") on ", opts.listenAddr);
 
-    std::vector<std::thread> conns;
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> lock(ctx.m);
-            if (ctx.doneServing())
-                break;
-        }
-        pollfd pfd{listen_fd, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, 200);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("coordinator poll failed: ", std::strerror(errno));
-        }
-        if (rc == 0)
-            continue;
-        int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        conns.emplace_back(serveWorker, fd, std::ref(ctx));
+    // Serve until nothing is left to lease and every worker is gone:
+    // idle workers get DONE at the end of the turn that finishes the
+    // plan; an executing one gets it after its RESULT.
+    PollLoop<WorkerConn> loop(listen_fd);
+    while (!(ctx.doneServing() && loop.empty())) {
+        loop.turn(ctx);
+        loop.sweep([&](CoordCtx::Conn &c) { return ctx.grant(c); });
     }
-    // Connection threads send DONE to their (idle) workers and exit;
-    // threads blocked on an executing worker finish after its RESULT.
-    for (std::thread &t : conns)
-        t.join();
     ::close(listen_fd);
     if (addr.unixSocket)
         ::unlink(addr.path.c_str());
 
     CoordinatorRun run;
     run.topology = ctx.topo;
-    {
-        std::lock_guard<std::mutex> lock(ctx.m);
-        ctx.checkpointLocked(true);
-        run.complete = ctx.book.allMerged();
-    }
+    ctx.checkpoint(true);
+    run.complete = ctx.book.allMerged();
     if (!run.complete) {
         inform("coordinator stopped after ", ctx.book.mergedChunks(),
                " of ", ctx.book.chunkCount(),
@@ -1084,18 +1186,16 @@ runServiceWorker(const WorkerOptions &opts)
     int fd = connectWithRetry(addr, opts.connectAddr,
                               opts.connectTimeoutSec);
     FrameConn conn(fd);
-    std::mutex write_mutex; // RESULT writer vs heartbeat thread
 
-    HelloPayload hello;
+    HelloPayload hello; // threads = 1: processes are the parallel axis
     hello.worker = opts.name;
-    hello.threads = static_cast<std::uint64_t>(opts.threads);
     fatal_if(!sendBytes(fd, encodeHello(hello)),
              "cannot send HELLO to ", opts.connectAddr);
 
     Frame f;
     std::string err;
-    fatal_if(conn.readFrame(f, 60.0, err) != FrameConn::Status::Frame,
-             "no SPEC from coordinator: ", err);
+    fatal_if(!conn.readFrame(f, 60.0, err), "no SPEC from coordinator: ",
+             err);
     SpecPayload spec;
     fatal_if(!tryParseSpec(f, spec, err), "bad SPEC: ", err);
     ServiceRequest req;
@@ -1112,99 +1212,74 @@ runServiceWorker(const WorkerOptions &opts)
              hexHash(cfg_hash), ", coordinator announced ",
              hexHash(spec.configHash),
              "; sending READY and expecting rejection");
-    ReadyPayload ready{cfg_hash};
-    fatal_if(!sendBytes(fd, encodeReady(ready)),
-             "cannot send READY to ", opts.connectAddr);
-
-    // Heartbeats flow from a side thread while the main thread
-    // executes leases, so a long shard never looks like death.
-    std::atomic<bool> stop_heartbeat{false};
-    std::thread heartbeat([&] {
-        const auto period = std::chrono::duration<double>(
-            std::max(opts.heartbeatSec, 0.1));
-        while (!stop_heartbeat.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(period);
-            if (stop_heartbeat.load(std::memory_order_relaxed))
-                break;
-            std::lock_guard<std::mutex> lock(write_mutex);
-            if (!sendBytes(fd, encodeHeartbeat()))
-                break;
-        }
-    });
-    auto stopHeartbeat = [&] {
-        stop_heartbeat.store(true, std::memory_order_relaxed);
-        heartbeat.join();
-    };
 
     // One executor for every lease this worker drains: the golden
     // forward pass, result cache, and engines are paid once, as the
     // in-process fan-out pays them — per-lease cost is just the
-    // shards themselves.  (The heartbeat thread above is already
-    // running, so a slow construction never looks like death.)
+    // shards themselves.  It is built before READY, so no lease is
+    // ever held during setup.
     FixedShardExecutor executor(net, input, metric, cfg);
+    fatal_if(!sendBytes(fd, encodeReady(ReadyPayload{cfg_hash})),
+             "cannot send READY to ", opts.connectAddr);
 
     std::uint64_t results_sent = 0;
     for (;;) {
-        FrameConn::Status st = conn.readFrame(f, -1.0, err);
-        if (st != FrameConn::Status::Frame) {
-            stopHeartbeat();
-            fatal("worker ", opts.name, " lost its coordinator: ",
-                  err);
-        }
+        fatal_if(!conn.readFrame(f, -1.0, err), "worker ", opts.name,
+                 " lost its coordinator: ", err);
         if (f.type == FrameType::Done || f.type == FrameType::Drain) {
-            stopHeartbeat();
             ::close(fd);
             return 0;
         }
         if (f.type == FrameType::Error) {
             std::string message;
             tryParseText(f, FrameType::Error, message, err);
-            stopHeartbeat();
             fatal("coordinator rejected worker ", opts.name, ": ",
                   message);
         }
         LeasePayload lease;
-        if (!tryParseLease(f, lease, err)) {
-            stopHeartbeat();
-            fatal("worker ", opts.name, " got an unexpected frame: ",
-                  err);
-        }
+        fatal_if(!tryParseLease(f, lease, err), "worker ", opts.name,
+                 " got an unexpected frame: ", err);
         // Deterministic fault hook: die mid-shard, holding this lease,
         // once the configured number of RESULTs is out the door.
         if (opts.dieAfterResults > 0 &&
             results_sent >= opts.dieAfterResults)
             ::raise(SIGKILL);
 
-        std::vector<ShardRecord> records =
-            executor.execute(lease.first, lease.count);
+        // Shard by shard, so liveness rides between shards: a HEARTBEAT
+        // goes out once heartbeatSec has passed since the lease (or the
+        // last beat).  A single shard slower than the lease timeout
+        // only costs a duplicate execution, never bits.  execute()
+        // fatals on an ordinal outside the plan.
         CampaignSnapshot journal;
         journal.configHash = cfg_hash;
-        journal.shards = std::move(records);
-        ResultPayload result;
-        result.first = lease.first;
-        result.count = lease.count;
-        result.journal = encodeSnapshot(journal);
-        {
-            std::lock_guard<std::mutex> lock(write_mutex);
-            if (!sendBytes(fd, encodeResult(result))) {
-                stopHeartbeat();
-                fatal("worker ", opts.name,
-                      " lost its coordinator while sending RESULT");
+        double last_beat = nowSec();
+        for (std::uint64_t i = 0; i < lease.count; ++i) {
+            if (i > 0 && nowSec() - last_beat >= opts.heartbeatSec) {
+                fatal_if(!sendBytes(fd, encodeHeartbeat()), "worker ",
+                         opts.name, " lost its coordinator");
+                last_beat = nowSec();
             }
+            journal.shards.push_back(
+                std::move(executor.execute(lease.first + i, 1).front()));
         }
+        const ResultPayload result{lease.first, lease.count,
+                                   encodeSnapshot(journal)};
+        fatal_if(!sendBytes(fd, encodeResult(result)), "worker ",
+                 opts.name,
+                 " lost its coordinator while sending RESULT");
         ++results_sent;
     }
 }
 
 // ----- Daemon -------------------------------------------------------
 //
-// Admission-control design (DESIGN.md §14): a single poll-based
-// intake loop owns every not-yet-admitted connection (accept, frame
-// assembly, parse, admission verdict), a bounded FIFO-per-tenant
-// queue holds admitted requests, and a fixed pool of maxConcurrent
-// worker threads drains it under deficit-round-robin across tenants.
-// Nothing in the request path spawns a thread, so the daemon's thread
-// count is a constant (1 intake + pool), not a function of uptime.
+// Admission-control design (DESIGN.md §14): the intake (a PollLoop on
+// the daemon's thread) owns every not-yet-admitted connection, a
+// bounded FIFO-per-tenant queue holds admitted requests, and a fixed
+// pool of maxConcurrent worker threads drains it under
+// deficit-round-robin across tenants.  Nothing in the request path
+// spawns a thread, so the daemon's thread count is a constant
+// (1 intake + pool), not a function of uptime.
 
 namespace
 {
@@ -1564,12 +1639,104 @@ rejectQueuedForDrain(DaemonCtx &ctx)
     }
 }
 
-/** One not-yet-admitted connection owned by the intake loop. */
-struct PendingConn
+/** The daemon's intake: a connection stays in its poll loop until its
+ *  request frame is answered inline (malformed, busy, status, drain)
+ *  or admitted to the queue. */
+struct Intake
 {
-    int fd = -1;
-    std::string buf;
-    double deadline = 0.0;
+    struct NoState
+    {
+    };
+    using Loop = PollLoop<NoState>;
+
+    DaemonCtx &ctx;
+
+    /** Answer an intake verdict; counts toward served. */
+    ConnNext
+    answer(int fd, const std::string &frame, const char *counter)
+    {
+        sendBytesWithDeadline(fd, frame, kIntakeSendDeadlineSec);
+        std::lock_guard<std::mutex> lock(ctx.m);
+        ctx.served += 1;
+        ctx.metrics.counter(counter).add();
+        return ConnNext::Close;
+    }
+
+    void
+    onAccept(Loop::Conn &c)
+    {
+        c.deadline = nowSec() + ctx.opts->recvDeadlineSec;
+        std::lock_guard<std::mutex> lock(ctx.m);
+        ctx.metrics.counter("daemon.accepted").add();
+    }
+
+    void
+    onFault(Loop::Conn &c, ConnFault fault, const std::string &why)
+    {
+        if (fault == ConnFault::Malformed) {
+            answer(c.fd, encodeErrorFrame(why),
+                   "daemon.rejected_malformed");
+        } else if (fault == ConnFault::Timeout) {
+            sendBytesWithDeadline(c.fd, encodeErrorFrame(why), 1.0);
+            std::lock_guard<std::mutex> lock(ctx.m);
+            ctx.metrics.counter("daemon.intake_timeouts").add();
+        }
+    }
+
+    /** A connection's request frame: answered inline, or handed off
+     *  to the queue. */
+    ConnNext
+    onFrame(Loop::Conn &c, const Frame &f)
+    {
+        std::string err;
+        if (f.type == FrameType::Drain) {
+            {
+                std::lock_guard<std::mutex> lock(ctx.m);
+                ctx.draining = true;
+            }
+            rejectQueuedForDrain(ctx);
+            return answer(c.fd,
+                          encodeResponse("{\"status\": \"draining\"}"),
+                          "daemon.drains");
+        }
+        std::string request_json;
+        if (!tryParseText(f, FrameType::Request, request_json, err))
+            return answer(c.fd, encodeErrorFrame(err),
+                          "daemon.rejected_malformed");
+        if (isStatusRequest(request_json)) {
+            std::string status;
+            {
+                std::lock_guard<std::mutex> lock(ctx.m);
+                status = daemonStatusJsonLocked(ctx);
+            }
+            sendBytesWithDeadline(c.fd, encodeResponse(status),
+                                  kIntakeSendDeadlineSec);
+            return ConnNext::Close; // not a served campaign request
+        }
+        QueuedRequest qr;
+        if (!tryParseServiceRequest(request_json, qr.req, err)) {
+            warn("rejecting campaign request: ", err);
+            return answer(c.fd, encodeErrorFrame(err),
+                          "daemon.rejected_malformed");
+        }
+        qr.fd = c.fd;
+        qr.enqueuedAt = nowSec();
+        bool admitted = false;
+        std::size_t depth = 0;
+        {
+            std::lock_guard<std::mutex> lock(ctx.m);
+            depth = ctx.queued;
+            admitted = admitLocked(ctx, std::move(qr));
+        }
+        if (!admitted)
+            return answer(c.fd,
+                          encodeBusyError(depth,
+                                          static_cast<std::uint64_t>(
+                                              ctx.opts->maxQueue)),
+                          "daemon.rejected_busy");
+        ctx.workCv.notify_one();
+        return ConnNext::HandOff;
+    }
 };
 
 } // namespace
@@ -1584,25 +1751,14 @@ runServiceDaemon(const DaemonOptions &opts)
              opts.maxQueue);
     fatal_if(opts.drrQuantum < 1,
              "daemon drrQuantum must be >= 1, got ", opts.drrQuantum);
-    if (!opts.stateDir.empty()) {
-        // The checkpoint writer fatals on a missing directory, which
-        // would kill the daemon mid-campaign — create the state dir
-        // up front (parents included) and fail fast if we cannot.
-        std::string partial;
-        for (std::size_t at = 0; at < opts.stateDir.size();) {
-            std::size_t sep = opts.stateDir.find('/', at);
-            if (sep == std::string::npos)
-                sep = opts.stateDir.size();
-            partial = opts.stateDir.substr(0, sep);
-            at = sep + 1;
-            if (partial.empty())
-                continue; // leading '/'
-            if (::mkdir(partial.c_str(), 0777) != 0 &&
-                errno != EEXIST)
-                fatal("daemon cannot create state dir ", partial,
-                      ": ", std::strerror(errno));
-        }
-    }
+    // The checkpoint writer fatals on a missing directory, which would
+    // kill the daemon mid-campaign — create the state dir up front
+    // (parents included) and fail fast if we cannot.
+    std::error_code ec;
+    if (!opts.stateDir.empty() &&
+        !std::filesystem::create_directories(opts.stateDir, ec) && ec)
+        fatal("daemon cannot create state dir ", opts.stateDir, ": ",
+              ec.message());
     DaemonCtx ctx;
     ctx.opts = &opts;
 
@@ -1617,80 +1773,8 @@ runServiceDaemon(const DaemonOptions &opts)
     for (int i = 0; i < opts.maxConcurrent; ++i)
         pool.emplace_back(daemonWorker, std::ref(ctx));
 
-    // Intake event loop: every connection lives here — poll-driven
-    // frame assembly with a receive deadline — until its request is
-    // answered inline (malformed/busy/status/drain) or admitted to
-    // the queue.  No thread is ever spawned per connection.
-    std::vector<PendingConn> pending;
-
-    // Answer-and-close for intake verdicts; counts toward served.
-    auto answer = [&](int fd, const std::string &frame,
-                      const char *counter) {
-        sendBytesWithDeadline(fd, frame, kIntakeSendDeadlineSec);
-        ::close(fd);
-        std::lock_guard<std::mutex> lock(ctx.m);
-        ctx.served += 1;
-        ctx.metrics.counter(counter).add();
-    };
-
-    // Dispatch one complete frame from a connection.  The fd's
-    // ownership moves out of `pending` either way.
-    auto dispatch = [&](int fd, const Frame &f) {
-        std::string err;
-        if (f.type == FrameType::Drain) {
-            {
-                std::lock_guard<std::mutex> lock(ctx.m);
-                ctx.draining = true;
-            }
-            rejectQueuedForDrain(ctx);
-            answer(fd, encodeResponse("{\"status\": \"draining\"}"),
-                   "daemon.drains");
-            return;
-        }
-        std::string request_json;
-        if (!tryParseText(f, FrameType::Request, request_json, err)) {
-            answer(fd, encodeErrorFrame(err),
-                   "daemon.rejected_malformed");
-            return;
-        }
-        if (isStatusRequest(request_json)) {
-            std::string status;
-            {
-                std::lock_guard<std::mutex> lock(ctx.m);
-                status = daemonStatusJsonLocked(ctx);
-            }
-            sendBytesWithDeadline(fd, encodeResponse(status),
-                                  kIntakeSendDeadlineSec);
-            ::close(fd);
-            return; // observability; not a served campaign request
-        }
-        QueuedRequest qr;
-        if (!tryParseServiceRequest(request_json, qr.req, err)) {
-            warn("rejecting campaign request: ", err);
-            answer(fd, encodeErrorFrame(err),
-                   "daemon.rejected_malformed");
-            return;
-        }
-        qr.fd = fd;
-        qr.enqueuedAt = nowSec();
-        bool admitted = false;
-        std::size_t depth = 0;
-        {
-            std::lock_guard<std::mutex> lock(ctx.m);
-            depth = ctx.queued;
-            admitted = admitLocked(ctx, std::move(qr));
-        }
-        if (!admitted) {
-            answer(fd,
-                   encodeBusyError(
-                       depth,
-                       static_cast<std::uint64_t>(opts.maxQueue)),
-                   "daemon.rejected_busy");
-            return;
-        }
-        ctx.workCv.notify_one();
-    };
-
+    Intake intake{ctx};
+    Intake::Loop loop(listen_fd);
     for (;;) {
         {
             std::lock_guard<std::mutex> lock(ctx.m);
@@ -1699,99 +1783,16 @@ runServiceDaemon(const DaemonOptions &opts)
                  ctx.served >= opts.maxRequests))
                 break;
         }
-        std::vector<pollfd> pfds;
-        pfds.reserve(pending.size() + 1);
-        pfds.push_back(pollfd{listen_fd, POLLIN, 0});
-        for (const PendingConn &pc : pending)
-            pfds.push_back(pollfd{pc.fd, POLLIN, 0});
-        int rc = ::poll(pfds.data(),
-                        static_cast<nfds_t>(pfds.size()), 200);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("daemon poll failed: ", std::strerror(errno));
-        }
-        const double now = nowSec();
-        if (pfds[0].revents & POLLIN) {
-            int fd = ::accept(listen_fd, nullptr, nullptr);
-            if (fd >= 0) {
-                pending.push_back(PendingConn{
-                    fd, {}, now + opts.recvDeadlineSec});
-                std::lock_guard<std::mutex> lock(ctx.m);
-                ctx.metrics.counter("daemon.accepted").add();
-            }
-        }
-        // Walk the snapshot the pollfds were built from; entries
-        // accepted above sit past it and wait for the next round.
-        const std::size_t polled = pfds.size() - 1;
-        std::vector<PendingConn> keep;
-        keep.reserve(pending.size());
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            PendingConn &pc = pending[i];
-            const short revents =
-                i < polled ? pfds[i + 1].revents : 0;
-            if (revents & (POLLERR | POLLNVAL)) {
-                ::close(pc.fd);
-                continue;
-            }
-            if (revents & (POLLIN | POLLHUP)) {
-                char chunk[16384];
-                const ssize_t n = ::recv(pc.fd, chunk, sizeof(chunk),
-                                         MSG_DONTWAIT);
-                if (n == 0) {
-                    ::close(pc.fd); // client went away silently
-                    continue;
-                }
-                if (n > 0)
-                    pc.buf.append(chunk,
-                                  static_cast<std::size_t>(n));
-                else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                         errno != EINTR) {
-                    ::close(pc.fd);
-                    continue;
-                }
-                Frame f;
-                std::size_t consumed = 0;
-                std::string err;
-                switch (tryDecodeFrame(pc.buf, f, consumed, err)) {
-                case FrameDecodeStatus::Complete:
-                    dispatch(pc.fd, f);
-                    continue; // fd ownership moved
-                case FrameDecodeStatus::Malformed:
-                    answer(pc.fd, encodeErrorFrame(err),
-                           "daemon.rejected_malformed");
-                    continue;
-                case FrameDecodeStatus::NeedMore:
-                    break;
-                }
-            }
-            if (pc.deadline < now) {
-                // Slow loris: a connection that cannot deliver one
-                // frame within the receive deadline is shed, not
-                // allowed to hold intake state forever.
-                sendBytesWithDeadline(
-                    pc.fd,
-                    encodeErrorFrame("request frame not received "
-                                     "within the deadline"),
-                    1.0);
-                ::close(pc.fd);
-                std::lock_guard<std::mutex> lock(ctx.m);
-                ctx.metrics.counter("daemon.intake_timeouts").add();
-                continue;
-            }
-            keep.push_back(std::move(pc));
-        }
-        pending.swap(keep);
+        loop.turn(intake);
     }
 
     // Shutdown: close half-read intake connections, reject queued
     // requests if draining (maxRequests exits let the pool finish the
     // queue), wait for quiescence, then stop and join the pool.
-    for (PendingConn &pc : pending) {
-        sendBytesWithDeadline(pc.fd, encodeDrainingError(), 1.0);
-        ::close(pc.fd);
-    }
-    pending.clear();
+    loop.sweep([](Intake::Loop::Conn &c) {
+        sendBytesWithDeadline(c.fd, encodeDrainingError(), 1.0);
+        return ConnNext::Close;
+    });
     bool drain_queue = false;
     {
         std::lock_guard<std::mutex> lock(ctx.m);
@@ -1839,14 +1840,10 @@ submitServiceRequest(const std::string &connectAddr,
     }
     FrameConn conn(fd);
     Frame f;
-    FrameConn::Status st = conn.readFrame(f, 600.0, err);
-    if (st != FrameConn::Status::Frame) {
-        ::close(fd);
-        if (err.empty())
-            err = "no response from the daemon";
-        return false;
-    }
+    const bool got = conn.readFrame(f, 600.0, err);
     ::close(fd);
+    if (!got)
+        return false;
     if (f.type == FrameType::Error) {
         std::string message;
         std::string parse_err;

@@ -228,9 +228,11 @@ struct CoordinatorRun
 /**
  * Serve one campaign's shard plan to connecting workers and merge the
  * journals.  Blocks until the plan is fully merged (or the stop hook
- * fires).  Worker connections are one thread each; worker death at
- * any point only delays completion — the campaign finishes as long as
- * at least one worker eventually connects.
+ * fires) and every worker has been sent DONE.  All connections are
+ * served by one poll loop on the calling thread, so the coordinator
+ * adds no thread whatever the fleet size; worker death at any point
+ * only delays completion — the campaign finishes as long as at least
+ * one worker eventually connects.
  */
 CoordinatorRun runCampaignCoordinator(const ServiceRequest &req,
                                       const CoordinatorOptions &opts);
@@ -244,11 +246,10 @@ struct WorkerOptions
 
     std::string name = "worker";
 
-    /** Reported in HELLO (telemetry only; execution is
-     *  single-threaded — worker processes are the parallelism axis). */
-    int threads = 1;
-
-    /** Seconds between HEARTBEAT frames. */
+    /** Seconds between HEARTBEAT frames.  A worker is single-threaded
+     *  (worker processes are the parallelism axis): it executes a
+     *  lease shard by shard and sends a HEARTBEAT between shards once
+     *  this long has passed since the lease or the last beat. */
     double heartbeatSec = 5.0;
 
     /** Seconds to keep retrying the initial connect (workers may
@@ -262,10 +263,11 @@ struct WorkerOptions
 };
 
 /**
- * Run one worker process: connect, HELLO/SPEC/READY, then
- * LEASE → execute → RESULT until DONE or DRAIN.  Returns the process
- * exit code (0 on DONE/DRAIN; fatals on protocol violations — a
- * worker belongs to its coordinator).
+ * Run one worker process: connect, HELLO/SPEC, build the shard
+ * executor, READY, then LEASE → execute → RESULT until DONE or DRAIN.
+ * Single-threaded, with blocking reads: it returns as soon as DONE
+ * arrives.  Returns the process exit code (0 on DONE/DRAIN; fatals on
+ * protocol violations — a worker belongs to its coordinator).
  */
 int runServiceWorker(const WorkerOptions &opts);
 
@@ -276,8 +278,8 @@ struct DaemonOptions
     /** Client-facing listen address. */
     std::string listenAddr;
 
-    /** Campaign worker threads — campaigns served concurrently.
-     *  (--workers is an alias; this name predates the pool.) */
+    /** Campaign worker threads — campaigns served concurrently
+     *  (CLI: --workers; this name predates the pool). */
     int maxConcurrent = 2;
 
     /**

@@ -12,10 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -76,23 +80,28 @@ readWholeFile(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
-/** fork/exec one real worker process of the service binary. */
+/** fork/exec one real worker process of the service binary.  A null
+ *  `heartbeat` omits --heartbeat, so the worker runs at its default. */
 pid_t
 spawnWorker(const std::string &addr, const std::string &name,
-            std::uint64_t die_after_results = 0)
+            std::uint64_t die_after_results = 0,
+            const char *heartbeat = "0.2")
 {
     const pid_t pid = ::fork();
     if (pid != 0)
         return pid;
-    const std::string connect = "--connect=" + addr;
-    const std::string worker_name = "--name=" + name;
-    const std::string heartbeat = "--heartbeat=0.2";
-    const std::string die =
-        "--die-after-results=" + std::to_string(die_after_results);
-    ::execl(FIDELITY_SERVICE_BIN, FIDELITY_SERVICE_BIN, "worker",
-            connect.c_str(), worker_name.c_str(), heartbeat.c_str(),
-            die.c_str(), static_cast<char *>(nullptr));
-    std::perror("execl fidelity_service");
+    std::vector<std::string> args = {
+        FIDELITY_SERVICE_BIN, "worker", "--connect=" + addr,
+        "--name=" + name,
+        "--die-after-results=" + std::to_string(die_after_results)};
+    if (heartbeat)
+        args.push_back(std::string("--heartbeat=") + heartbeat);
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    ::execv(FIDELITY_SERVICE_BIN, argv.data());
+    std::perror("execv fidelity_service");
     ::_exit(127);
 }
 
@@ -114,6 +123,48 @@ reapKilled(pid_t pid)
     if (::waitpid(pid, &status, 0) != pid)
         return false;
     return WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+}
+
+/**
+ * Reap one child, waiting at most cap_sec (SIGKILLing it past the
+ * cap); `seconds` is how long the wait took.  True on a clean exit.
+ */
+bool
+reapWithin(pid_t pid, double cap_sec, double &seconds)
+{
+    const auto start = std::chrono::steady_clock::now();
+    for (;;) {
+        int status = 0;
+        const pid_t got = ::waitpid(pid, &status, WNOHANG);
+        seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+        if (got == pid)
+            return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+        if (got < 0)
+            return false;
+        if (seconds >= cap_sec) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            return false;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+}
+
+/** Threads of this process right now (entries of /proc/self/task). */
+int
+processThreadCount()
+{
+    DIR *dir = ::opendir("/proc/self/task");
+    if (!dir)
+        return -1;
+    int n = 0;
+    while (const dirent *e = ::readdir(dir))
+        if (e->d_name[0] != '.')
+            ++n;
+    ::closedir(dir);
+    return n;
 }
 
 /** Run the coordinator on its own thread (it blocks until merged). */
@@ -139,10 +190,13 @@ groundTruth(const ServiceRequest &req, const std::string &report_path)
 
 #if !defined(_WIN32)
 
-/** Minimal raw protocol client for impersonating a worker. */
+/** Minimal raw protocol peer for impersonating a worker (connecting
+ *  to a path) or a coordinator (over an accepted socket). */
 class RawConn
 {
   public:
+    explicit RawConn(int fd) : fd_(fd) { EXPECT_GE(fd_, 0); }
+
     explicit RawConn(const std::string &socket_path)
     {
         fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -219,6 +273,25 @@ class RawConn
     int fd_ = -1;
     std::string buf_;
 };
+
+/** A listening unix socket (the test standing in for a coordinator). */
+int
+listenUnix(const std::string &socket_path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un sa{};
+    sa.sun_family = AF_UNIX;
+    std::strncpy(sa.sun_path, socket_path.c_str(),
+                 sizeof(sa.sun_path) - 1);
+    ::unlink(socket_path.c_str());
+    if (fd < 0 ||
+        ::bind(fd, reinterpret_cast<sockaddr *>(&sa), sizeof(sa)) != 0 ||
+        ::listen(fd, 1) != 0) {
+        ADD_FAILURE() << "cannot listen on " << socket_path;
+        return -1;
+    }
+    return fd;
+}
 
 #endif // !defined(_WIN32)
 
@@ -368,6 +441,61 @@ TEST(ServiceResilience, CoordinatorRestartResumesFromCheckpoint)
     std::remove(ckpt.c_str());
 }
 
+TEST(ServiceResilience, WorkerExitsPromptlyOnDoneAtTheDefaultHeartbeat)
+{
+    // The other tests run workers at --heartbeat=0.2; at the default
+    // 5 s period a worker that waited out its heartbeat before exiting
+    // would linger for seconds after DONE.
+    const ServiceRequest req = testRequest();
+    const std::string sock = uniqueSocketPath("linger");
+    const pid_t worker = spawnWorker("unix:" + sock, "w0", 0,
+                                     /*heartbeat=*/nullptr);
+
+    CoordinatorOptions copts;
+    copts.listenAddr = "unix:" + sock;
+    copts.leaseShards = 8;
+    CoordinatorRun run = runCampaignCoordinator(req, copts);
+
+    double reap_sec = 0.0;
+    EXPECT_TRUE(reapWithin(worker, 30.0, reap_sec));
+    EXPECT_LT(reap_sec, 1.0)
+        << "worker outlived its coordinator by " << reap_sec << " s";
+    EXPECT_TRUE(run.complete);
+}
+
+TEST(ServiceResilience, CoordinatorThreadCountIsFlatInFleetSize)
+{
+    const ServiceRequest req = testRequest();
+    const std::string sock = uniqueSocketPath("threads");
+    const int baseline = processThreadCount();
+    ASSERT_GT(baseline, 0);
+
+    CoordinatorOptions copts;
+    copts.listenAddr = "unix:" + sock;
+    copts.leaseShards = 4;
+    auto coordinator = startCoordinator(req, copts);
+    std::vector<pid_t> pids;
+    for (int w = 0; w < 4; ++w)
+        pids.push_back(
+            spawnWorker("unix:" + sock, "w" + std::to_string(w)));
+
+    int peak = baseline;
+    while (coordinator.wait_for(std::chrono::milliseconds(2)) !=
+           std::future_status::ready)
+        peak = std::max(peak, processThreadCount());
+    CoordinatorRun run = coordinator.get();
+    for (pid_t pid : pids)
+        EXPECT_TRUE(reapCleanExit(pid));
+    ASSERT_TRUE(run.complete);
+    EXPECT_EQ(run.topology.workers.size(), pids.size());
+
+    // The async thread serves all four connections from one poll loop.
+    // The only other thread is the req.threads pool that the merge's
+    // runCampaign starts after the last worker is gone.
+    EXPECT_LE(peak, baseline + 1 + req.threads)
+        << "baseline " << baseline << " threads";
+}
+
 #if !defined(_WIN32)
 
 TEST(ServiceResilience, WrongReadyHashIsRejectedWithoutPoisoningTheRun)
@@ -414,6 +542,48 @@ TEST(ServiceResilience, WrongReadyHashIsRejectedWithoutPoisoningTheRun)
     EXPECT_TRUE(reapCleanExit(worker));
     ASSERT_TRUE(run.complete);
     EXPECT_EQ(campaignChecksum(run.result), want);
+}
+
+TEST(ServiceResilience, WorkerHeartbeatsBetweenShardsOfALongLease)
+{
+    // The test plays the coordinator, so every frame the worker sends
+    // is visible: one lease over a plan that takes several 0.1 s
+    // heartbeat periods to execute.
+    ServiceRequest req = testRequest();
+    req.samplesPerCategory = 32;
+    const std::string sock = uniqueSocketPath("beat");
+    const int listen_fd = listenUnix(sock);
+    ASSERT_GE(listen_fd, 0);
+    const pid_t worker = spawnWorker("unix:" + sock, "w0", 0, "0.1");
+    RawConn coordinator(::accept(listen_fd, nullptr, nullptr));
+
+    std::string err;
+    HelloPayload hello;
+    ASSERT_TRUE(tryParseHello(coordinator.read(), hello, err)) << err;
+    Network net = buildServiceNetwork(req);
+    const CampaignConfig cfg = campaignConfigFor(req);
+    const std::uint64_t hash =
+        campaignConfigHash(net, serviceInput(req), cfg);
+    coordinator.send(encodeSpec({hash, serviceRequestJson(req)}));
+    ReadyPayload ready;
+    ASSERT_TRUE(tryParseReady(coordinator.read(), ready, err)) << err;
+    ASSERT_EQ(ready.configHash, hash);
+
+    const std::uint64_t plan = fixedShardPlan(net, cfg).size();
+    coordinator.send(encodeLease({0, plan}));
+    int heartbeats = 0;
+    Frame f = coordinator.read();
+    for (; f.type == FrameType::Heartbeat; f = coordinator.read())
+        ++heartbeats;
+    ResultPayload result;
+    ASSERT_TRUE(tryParseResult(f, result, err)) << err;
+    EXPECT_EQ(result.count, plan);
+    EXPECT_GT(heartbeats, 0);
+
+    coordinator.send(encodeDone());
+    EXPECT_TRUE(reapCleanExit(worker));
+    ::close(listen_fd);
+    ::unlink(sock.c_str());
 }
 
 #endif // !defined(_WIN32)
