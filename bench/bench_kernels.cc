@@ -22,6 +22,13 @@
  *
  * All three outputs are compared bit-for-bit as a side effect.
  *
+ * Phase 1b gates the weight-substitution vector path: whole-channel
+ * re-execution of one corrupted weight (PreBufWeight) on a 32x32x64
+ * -> 64 3x3 FP16 conv, through Conv2D::forwardWithSub and through
+ * per-neuron computeNeuron() over the same consumers.  Any bit
+ * mismatch fails, and under the auto-dispatched backend so does a
+ * vector path less than 5x faster than the per-neuron one.
+ *
  * Phase 2 runs a small injection campaign twice — SIMD on and off —
  * and exits non-zero if the campaign checksums differ: the CI smoke
  * gate for the kernels' bit-identity contract.
@@ -234,9 +241,10 @@ usage(const char *argv0)
         << "usage: " << argv0 << " [options] [benchmark options]\n"
         << "  --kernel=<substr>   only kernels whose name contains "
            "<substr>\n"
-        << "                      (conv3x3, conv1x1, fc, matmul); "
-           "also skips the\n"
-        << "                      campaign checksum gate\n"
+        << "                      (conv3x3, conv1x1, fc, matmul, "
+           "conv3x3-wsub);\n"
+        << "                      also skips the campaign checksum "
+           "gate\n"
         << "  --dtype=<name>      only one dtype: fp32, fp16, int8, "
            "int16\n"
         << "  --backend=<name>    force the dispatch backend (scalar, "
@@ -252,6 +260,18 @@ usage(const char *argv0)
         << "filtered/forced runs leave it untouched\n"
         << "remaining arguments go to google-benchmark "
            "(--benchmark_filter=...)\n";
+}
+
+/** Kernel name of the weight-substitution gate (runWeightSubGate). */
+const std::string kWeightSubCase = "conv3x3-wsub";
+
+/** Whether --kernel / --dtype select the weight-substitution gate. */
+bool
+weightSubSelected(const Options &opt)
+{
+    return (opt.kernel.empty() ||
+            kWeightSubCase.find(opt.kernel) != std::string::npos) &&
+           (opt.dtype.empty() || opt.dtype == "fp16");
 }
 
 int
@@ -321,6 +341,8 @@ runThroughput(const Options &opt)
         }
     }
     if (records.empty()) {
+        if (weightSubSelected(opt))
+            return failures;
         std::cerr << "no kernel/dtype matches --kernel="
                   << opt.kernel << " --dtype=" << opt.dtype << "\n";
         return 1;
@@ -367,6 +389,107 @@ runChecksumGate(const Options &opt)
                                          : " MISMATCH\n");
         if (withSimd != scalar)
             ++failures;
+    }
+    return failures;
+}
+
+int
+runWeightSubGate(const Options &opt)
+{
+    // Same-build gate for PreBufWeight re-execution: one corrupted
+    // weight recomputes its whole output channel.  The consumers are
+    // coalesced into single-channel w-runs as the fault models do, and
+    // run once through Conv2D::forwardWithSub (falling back per neuron
+    // when it declines, as the fault models do) and once through
+    // per-neuron computeNeuron.  Any bit mismatch fails; under the
+    // auto-dispatched backend a vector path under 5x faster fails too.
+    if (!weightSubSelected(opt))
+        return 0;
+    const std::string &name = kWeightSubCase;
+    constexpr double kMinSpeedup = 5.0;
+    const double minSeconds =
+        (opt.minMs / 1000.0) * bench::scaledSamples(10) / 10.0;
+    KernelCase kc = convCase(name, 32, 64, 64, 3);
+    auto &conv = dynamic_cast<Conv2D &>(*kc.layer);
+    conv.setPrecision(Precision::FP16);
+    auto ins = kc.ins();
+    Tensor vec = conv.makeOutput(ins);
+    Tensor ref = conv.makeOutput(ins);
+
+    Rng rng(17);
+    std::vector<OperandSub> subs(8);
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+        std::size_t widx = rng.below(
+            static_cast<std::uint32_t>(conv.weightCount(ins)));
+        subs[i].kind = OperandSub::Kind::Weight;
+        subs[i].flatIndex = widx;
+        subs[i].value = FaultModels::flipStoredOperand(
+            conv.weightAt(ins, widx), Precision::FP16, conv.weightQuant(),
+            static_cast<int>(rng.below(16)));
+    }
+    std::vector<std::vector<NeuronIndex>> cons;
+    std::vector<std::vector<Region>> boxes;
+    for (const OperandSub &sub : subs) {
+        cons.push_back(conv.weightConsumers(ins, sub.flatIndex));
+        int oc = cons.back()[0].c;
+        boxes.emplace_back();
+        for (int oh = 0; oh < vec.h(); ++oh)
+            boxes.back().push_back(
+                Region{0, 1, oh, oh + 1, 0, vec.w(), oc, oc + 1});
+    }
+    auto runVector = [&](std::size_t i) {
+        if (conv.forwardWithSub(ins, &subs[i], boxes[i].data(),
+                                boxes[i].size(), vec))
+            return;
+        for (const NeuronIndex &n : cons[i])
+            vec.at(n) = conv.computeNeuron(ins, n, &subs[i]);
+    };
+    auto runNeuron = [&](std::size_t i) {
+        for (const NeuronIndex &n : cons[i])
+            ref.at(n) = conv.computeNeuron(ins, n, &subs[i]);
+    };
+
+    int failures = 0;
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+        runVector(i);
+        runNeuron(i);
+        for (const NeuronIndex &n : cons[i]) {
+            float a = vec.at(n), b = ref.at(n);
+            if (std::memcmp(&a, &b, sizeof(float)) != 0) {
+                std::cerr << "FAIL: " << name << " fp16: weight sub "
+                          << subs[i].flatIndex << " at " << n.str()
+                          << ": forwardWithSub " << a
+                          << " != computeNeuron " << b << "\n";
+                ++failures;
+                break;
+            }
+        }
+    }
+    auto timeAll = [&](auto run) {
+        double elapsed = 0.0;
+        std::size_t passes = 0;
+        while (elapsed < minSeconds) {
+            elapsed += bench::timeSeconds([&] {
+                for (std::size_t i = 0; i < subs.size(); ++i)
+                    run(i);
+            });
+            ++passes;
+        }
+        return elapsed / static_cast<double>(passes * subs.size());
+    };
+    double tVec = timeAll(runVector);
+    double tRef = timeAll(runNeuron);
+    double speedup = tRef / tVec;
+    std::cout << name << " fp16 (" << simd::backendName()
+              << "): whole-channel weight-sub re-execution "
+              << tVec * 1e6 << " us via forwardWithSub, " << tRef * 1e6
+              << " us via per-neuron computeNeuron (" << speedup
+              << "x)\n";
+    if (opt.backend.empty() && speedup < kMinSpeedup) {
+        std::cerr << "FAIL: " << name << " fp16: forwardWithSub only "
+                  << speedup << "x faster than per-neuron computeNeuron"
+                  << " (gate " << kMinSpeedup << "x)\n";
+        ++failures;
     }
     return failures;
 }
@@ -532,14 +655,14 @@ main(int argc, char **argv)
     std::cout << "dispatch backend " << simd::backendName() << " ("
               << simd::dispatchMode() << ")\n";
 
-    int failures = runThroughput(opt);
+    int failures = runThroughput(opt) + runWeightSubGate(opt);
     // The campaign gate is whole-network; a kernel filter means a
     // targeted microbench run, so only the filtered phase executes.
     if (opt.kernel.empty())
         failures += runChecksumGate(opt);
     if (failures) {
         std::cerr << failures
-                  << " SIMD-vs-scalar identity failure(s)\n";
+                  << " identity or speed gate failure(s)\n";
         return 1;
     }
     int bargc = static_cast<int>(rest.size());

@@ -911,24 +911,45 @@ Conv2D::forwardWithSub(const std::vector<const Tensor *> &ins,
                        const OperandSub *sub, const Region *boxes,
                        std::size_t numBoxes, Tensor &out) const
 {
-    // The vector path covers single input-operand substitutions: their
-    // consumer fan-out (kh*kw window positions times a whole output
-    // channel group) dominates fault-model application cost, and the
-    // substitution folds into the gather lambda as one index compare.
-    // Everything else (weight subs, psum flips, chains, padded-term
-    // substitutions) stays on per-neuron computeNeuron().
-    if (!sub || sub->next || sub->kind != OperandSub::Kind::Input ||
-        sub->termIndex >= 0)
+    // Vector paths cover the two substitutions whose consumer fan-out
+    // dominates fault-model application cost:
+    //  - one Input sub matched by flat index (kh*kw window positions
+    //    times an output channel group): the channel block kernels of
+    //    forwardRegion, with the sub folded into the gather lambda as
+    //    one index compare;
+    //  - one Weight sub (a whole output channel, or a run of it):
+    //    forwardWeightSub, lanes over output positions.
+    // Psum flips, bias subs, chains and padded-term (termIndex >= 0)
+    // substitutions have no vector path and stay on per-neuron
+    // computeNeuron().
+    if (!sub || sub->next)
+        return false;
+    const bool weight = sub->kind == OperandSub::Kind::Weight;
+    if (!weight && (sub->kind != OperandSub::Kind::Input ||
+                    sub->termIndex >= 0))
         return false;
     checkInput(ins);
     if (numBoxes == 0)
         return true;
+    if (weight) {
+        forwardWeightSub(*ins[0], *sub, boxes, numBoxes, out);
+        return true;
+    }
     const Tensor &x = *ins[0];
     bool integer = precision_ == Precision::INT8 ||
                    precision_ == Precision::INT16;
     if (!wPackValid_)
         packWeights();
     const bool narrow = integer && chunkPairs_ > 0;
+    // The narrow kernels' chunk bound assumes operands inside the
+    // quantised range.  Only a NaN quantises outside it (x86 converts
+    // it to INT_MIN, which int16 narrowing would turn into 0); such a
+    // substitution takes the per-neuron path.
+    if (narrow) {
+        const std::int32_t q = quantInput(sub->value);
+        if (q < inQuant_.qmin() || q > inQuant_.qmax())
+            return false;
+    }
 
     const int cpg = spec_.inC / spec_.groups;
     const int opg = spec_.outC / spec_.groups;
@@ -1005,6 +1026,186 @@ Conv2D::forwardWithSub(const std::vector<const Tensor *> &ins,
                             loadX, wb);
     }
     return true;
+}
+
+void
+Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
+                         const Region *boxes, std::size_t numBoxes,
+                         Tensor &out) const
+{
+    // A weight feeds every output position of its channel, so the
+    // lanes here are up to W consecutive output positions (along w) of
+    // one channel.  All lanes stream one stored-form weight column,
+    // built per channel with the substituted term patched in, through
+    // the batched MAC row at wstride = 1.  Each lane accumulates its
+    // own output in the canonical (ci, kh, kw) order: lanes are
+    // independent outputs, never a split reduction, so every lane is
+    // bit-identical to computeNeuron().
+    constexpr int W = simd::kF32Lanes;
+    const bool integer = precision_ == Precision::INT8 ||
+                         precision_ == Precision::INT16;
+    const int cpg = spec_.inC / spec_.groups;
+    const int opg = spec_.outC / spec_.groups;
+    const int khw = spec_.kh * spec_.kw;
+    const int redLen = cpg * khw;
+    const int s = spec_.stride;
+    const int d = spec_.dilation;
+    const int effKh = (spec_.kh - 1) * d + 1;
+    const int effKw = (spec_.kw - 1) * d + 1;
+
+    // Input footprint of every box's windows, unclipped and widened so
+    // the spare lanes of a partial block read inside it too.  Cells
+    // outside the tensor hold the raw zero, whose stored form is the
+    // padded operand computeNeuron() multiplies (a padded term still
+    // meets the substituted weight: 0 * Inf is NaN).
+    Region fp;
+    for (std::size_t i = 0; i < numBoxes; ++i)
+        fp.merge(boxes[i]);
+    if (fp.empty())
+        return;
+    fp = Region{fp.n0,
+                fp.n1,
+                fp.h0 * s - spec_.pad,
+                (fp.h1 - 1) * s - spec_.pad + effKh,
+                fp.w0 * s - spec_.pad,
+                (fp.w1 + W - 2) * s - spec_.pad + effKw,
+                fp.c0 / opg * cpg,
+                ((fp.c1 - 1) / opg + 1) * cpg};
+    const int fh = fp.h1 - fp.h0, fw = fp.w1 - fp.w0;
+    const std::size_t planeLen = static_cast<std::size_t>(fh) * fw;
+    const std::size_t fpLen =
+        planeLen * (fp.n1 - fp.n0) * (fp.c1 - fp.c0);
+
+    // Stored-form operands, one (n, c) plane each: with stride 1 the
+    // W lane operands of a term are W contiguous floats.
+    Arena &arena = Arena::local();
+    auto xs = arena.floats(fpLen);
+    auto xq = arena.ints(integer ? fpLen : 0);
+    std::fill(xs.data(), xs.data() + fpLen, 0.0f);
+    const int h0 = std::max(fp.h0, 0), h1 = std::min(fp.h1, x.h());
+    const int w0 = std::max(fp.w0, 0), w1 = std::min(fp.w1, x.w());
+    const std::size_t xc = x.c();
+    for (int n = fp.n0; n < fp.n1; ++n) {
+        for (int c = fp.c0; c < fp.c1; ++c) {
+            float *plane = xs.data() +
+                           ((n - fp.n0) * (fp.c1 - fp.c0) + c - fp.c0) *
+                               planeLen;
+            for (int ih = h0; ih < h1; ++ih) {
+                const float *src =
+                    x.data().data() + x.offset(n, ih, 0, c);
+                float *row = plane + (ih - fp.h0) * fw;
+                for (int iw = w0; iw < w1; ++iw)
+                    row[iw - fp.w0] = src[iw * xc];
+            }
+        }
+    }
+    if (integer)
+        simd::quantizeBatch(xs.data(), xq.data(), fpLen, inQuant_);
+    else if (precision_ == Precision::FP16)
+        simd::roundToHalfBatch(xs.data(), xs.data(), fpLen);
+
+    auto colRaw = arena.floats(redLen);
+    auto colF = arena.floats(integer ? 0 : redLen);
+    auto colI = arena.ints(integer ? redLen : 0);
+    auto xgF = arena.floats(integer ? 0 : redLen * W);
+    auto xgI = arena.ints(integer ? redLen * W : 0);
+    const std::size_t outC = spec_.outC;
+    auto buildColumn = [&](int oc) {
+        int t = 0;
+        for (int cig = 0; cig < cpg; ++cig)
+            for (int kh = 0; kh < spec_.kh; ++kh)
+                for (int kw = 0; kw < spec_.kw; ++kw)
+                    colRaw[t++] = weights_[
+                        ((static_cast<std::size_t>(kh) * spec_.kw + kw) *
+                             cpg + cig) * outC + oc];
+        if (sub.flatIndex < weights_.size() &&
+            sub.flatIndex % outC == static_cast<std::size_t>(oc)) {
+            // q = (kh * spec_.kw + kw) * cpg + cig; column term
+            // cig * khw + kh * spec_.kw + kw.
+            const std::size_t q = sub.flatIndex / outC;
+            colRaw[(q % cpg) * khw + q / cpg] = sub.value;
+        }
+        if (integer)
+            simd::quantizeBatch(colRaw.data(), colI.data(), redLen,
+                                wQuant_);
+        else if (precision_ == Precision::FP16)
+            simd::roundToHalfBatch(colRaw.data(), colF.data(), redLen);
+        else
+            std::copy(colRaw.data(), colRaw.data() + redLen, colF.data());
+    };
+    // Footprint offset of each term, (ci, kh, kw) order, relative to
+    // the window origin of a lane block's first position.
+    auto termOff = arena.longs(redLen);
+    for (int cig = 0, t = 0; cig < cpg; ++cig)
+        for (int kh = 0; kh < spec_.kh; ++kh)
+            for (int kw = 0; kw < spec_.kw; ++kw)
+                termOff[t++] = static_cast<std::int64_t>(cig) * planeLen +
+                               static_cast<std::int64_t>(kh) * d * fw +
+                               kw * d;
+    // Lane-minor operand rows: dst[k * W + l] = op[off[k] + l * s].
+    auto gather = [&](auto *dst, const auto *op) {
+        const std::int64_t *off = termOff.data();
+        if (s == 1) {
+            for (int k = 0; k < redLen; ++k, dst += W)
+                std::memcpy(dst, op + off[k], W * sizeof(*dst));
+        } else {
+            for (int k = 0; k < redLen; ++k, dst += W)
+                for (int l = 0; l < W; ++l)
+                    dst[l] = op[off[k] + l * s];
+        }
+    };
+    // Window origin of the lane block at (n, oh, ow0) in group g.
+    auto origin = [&](int n, int g, int oh, int ow0) {
+        return ((n - fp.n0) * (fp.c1 - fp.c0) + g * cpg - fp.c0) *
+                   planeLen +
+               static_cast<std::size_t>(oh * s - spec_.pad - fp.h0) * fw +
+               (ow0 * s - spec_.pad - fp.w0);
+    };
+
+    const simd::KernelTable &kt = simd::table();
+    float accF[W];
+    std::int64_t accI[W];
+    int builtOc = -1;
+    for (std::size_t i = 0; i < numBoxes; ++i) {
+        const Region &b = boxes[i];
+        for (int oc = b.c0; oc < b.c1; ++oc) {
+            if (oc != builtOc)
+                buildColumn(oc);
+            builtOc = oc;
+            const int g = oc / opg;
+            const float bias = spec_.bias ? bias_[oc] : 0.0f;
+            for (int n = b.n0; n < b.n1; ++n) {
+                for (int oh = b.h0; oh < b.h1; ++oh) {
+                    for (int ow0 = b.w0; ow0 < b.w1; ow0 += W) {
+                        const int cnt = std::min(W, b.w1 - ow0);
+                        const std::size_t at = origin(n, g, oh, ow0);
+                        float *o = out.data().data() +
+                                   out.offset(n, oh, ow0, oc);
+                        if (integer) {
+                            gather(xgI.data(), xq.data() + at);
+                            kt.batchMacI64(xgI.data(), colI.data(), redLen,
+                                           1, W, accI);
+                            // Left-associated like computeNeuron: the
+                            // double rounding order is part of the bit
+                            // contract.
+                            for (int l = 0; l < cnt; ++l)
+                                o[l * outC] = writeback(
+                                    static_cast<double>(accI[l]) *
+                                        inQuant_.scale * wQuant_.scale,
+                                    bias);
+                        } else {
+                            gather(xgF.data(), xs.data() + at);
+                            kt.batchMacF32(xgF.data(), colF.data(), redLen,
+                                           1, W, accF);
+                            for (int l = 0; l < cnt; ++l)
+                                o[l * outC] = writeback(
+                                    static_cast<double>(accF[l]), bias);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 template <int W>

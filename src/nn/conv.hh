@@ -117,6 +117,11 @@ class Conv2D : public MacLayer
     /** Re-pack weights into the lane-blocked kernel layout. */
     void packWeights() const;
 
+    /** forwardWithSub's vector path for one Weight substitution. */
+    void forwardWeightSub(const Tensor &x, const OperandSub &sub,
+                          const Region *boxes, std::size_t numBoxes,
+                          Tensor &out) const;
+
     /** Batched kernel body for a compile-time lane width. */
     template <int W>
     void forwardBatchedImpl(const Tensor &x, LanePlane &xplane,

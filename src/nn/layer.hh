@@ -267,7 +267,11 @@ class MacLayer : public Layer
      * computed element must be bit-identical to computeNeuron() with
      * the same substitution.  Returns false when this layer (or this
      * substitution kind) has no vector path — callers then fall back
-     * to per-neuron computeNeuron().  The default has no vector path.
+     * to per-neuron computeNeuron().  The default has no vector path;
+     * Conv2D has one for a single Input substitution matched by flat
+     * index and for a single Weight substitution.  Psum flips, bias
+     * substitutions, chains and padded-term (termIndex) substitutions
+     * always fall back.
      */
     virtual bool forwardWithSub(const std::vector<const Tensor *> &ins,
                                 const OperandSub *sub,

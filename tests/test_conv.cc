@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "nn/conv.hh"
@@ -67,6 +69,22 @@ struct ConvCase
     int in_c, out_c, kh, stride, pad, dilation, groups, h, w;
 };
 
+/** Square-kernel conv spec of a test case. */
+ConvSpec
+specOf(const ConvCase &cc)
+{
+    ConvSpec spec;
+    spec.inC = cc.in_c;
+    spec.outC = cc.out_c;
+    spec.kh = cc.kh;
+    spec.kw = cc.kh;
+    spec.stride = cc.stride;
+    spec.pad = cc.pad;
+    spec.dilation = cc.dilation;
+    spec.groups = cc.groups;
+    return spec;
+}
+
 class ConvParam : public ::testing::TestWithParam<ConvCase>
 {
 };
@@ -77,15 +95,7 @@ TEST_P(ConvParam, MatchesReferenceKernel)
 {
     ConvCase cc = GetParam();
     Rng rng(42);
-    ConvSpec spec;
-    spec.inC = cc.in_c;
-    spec.outC = cc.out_c;
-    spec.kh = cc.kh;
-    spec.kw = cc.kh;
-    spec.stride = cc.stride;
-    spec.pad = cc.pad;
-    spec.dilation = cc.dilation;
-    spec.groups = cc.groups;
+    const ConvSpec spec = specOf(cc);
     std::size_t nw = static_cast<std::size_t>(spec.kh) * spec.kw *
                      (spec.inC / spec.groups) * spec.outC;
     auto w = heWeights(rng, nw, spec.kh * spec.kw * spec.inC);
@@ -114,6 +124,190 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{6, 6, 3, 1, 1, 1, 6, 6, 6},
                       ConvCase{8, 16, 3, 1, 1, 1, 2, 6, 6},
                       ConvCase{4, 8, 5, 1, 2, 1, 1, 8, 8}));
+
+namespace
+{
+
+/** Bit pattern of a float: NaN payloads and signed zeros count. */
+std::uint32_t
+bitsOf(float v)
+{
+    return std::bit_cast<std::uint32_t>(v);
+}
+
+/**
+ * Coalesce consumers into output boxes as the fault models do before
+ * calling forwardWithSub: channel runs at one position, then w-runs
+ * of a single channel.
+ */
+std::vector<Region>
+coalesceBoxes(const NeuronIndex *cons, std::size_t count)
+{
+    std::vector<Region> boxes;
+    for (std::size_t i = 0; i < count; ++i) {
+        const NeuronIndex &n = cons[i];
+        if (!boxes.empty()) {
+            Region &b = boxes.back();
+            bool one_pos = b.n1 == b.n0 + 1 && b.h1 == b.h0 + 1 &&
+                           b.w1 == b.w0 + 1;
+            if (one_pos && n.n == b.n0 && n.h == b.h0 && n.w == b.w0 &&
+                n.c == b.c1) {
+                ++b.c1;
+                continue;
+            }
+            if (b.c1 == b.c0 + 1 && b.n1 == b.n0 + 1 &&
+                b.h1 == b.h0 + 1 && n.n == b.n0 && n.h == b.h0 &&
+                n.w == b.w1 && n.c == b.c0) {
+                ++b.w1;
+                continue;
+            }
+        }
+        boxes.push_back(Region::of(n));
+    }
+    return boxes;
+}
+
+struct SubCase
+{
+    ConvCase geo;
+    int batch;
+};
+
+class ConvSubParam : public ::testing::TestWithParam<SubCase>
+{
+};
+
+} // namespace
+
+TEST_P(ConvSubParam, ForwardWithSubMatchesComputeNeuronBitwise)
+{
+    // The vector paths of forwardWithSub (single Weight and single
+    // Input substitutions) against per-neuron computeNeuron, bit for
+    // bit, in every precision.  INT8 runs on the narrow int16 pack and
+    // INT16 on the wide int32 pack (narrowChunkPairs).
+    const SubCase sc = GetParam();
+    const ConvCase &cc = sc.geo;
+    Rng rng(42);
+    const ConvSpec spec = specOf(cc);
+    std::size_t nw = static_cast<std::size_t>(spec.kh) * spec.kw *
+                     (spec.inC / spec.groups) * spec.outC;
+    Conv2D conv("c", spec, heWeights(rng, nw, spec.kh * spec.kw * spec.inC),
+                smallBiases(rng, spec.outC));
+    Tensor x(sc.batch, cc.h, cc.w, cc.in_c);
+    for (auto &v : x.data())
+        v = static_cast<float>(rng.normal(0, 1));
+    std::vector<const Tensor *> ins{&x};
+    conv.calibrate(ins, conv.forward(ins));
+
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float values[] = {inf, -inf, nan, 0.0f, -0.0f, 65504.0f};
+    const Precision precs[] = {Precision::FP32, Precision::FP16,
+                               Precision::INT16, Precision::INT8};
+    const int cpg = spec.inC / spec.groups;
+    for (Precision p : precs) {
+        conv.setPrecision(p);
+        Tensor got = conv.makeOutput(ins);
+        int checked = 0, bad = 0;
+        auto check = [&](const OperandSub &sub,
+                         const std::vector<NeuronIndex> &cons,
+                         std::size_t start, std::size_t count) {
+            std::vector<Region> boxes =
+                coalesceBoxes(cons.data() + start, count);
+            // The one substitution without a vector path here: a NaN
+            // input operand on the narrow (INT8) pack.
+            const bool fallback = sub.kind == OperandSub::Kind::Input &&
+                                  std::isnan(sub.value) &&
+                                  p == Precision::INT8;
+            ASSERT_EQ(conv.forwardWithSub(ins, &sub, boxes.data(),
+                                          boxes.size(), got),
+                      !fallback);
+            if (fallback)
+                return;
+            for (std::size_t i = start; i < start + count; ++i) {
+                const NeuronIndex &n = cons[i];
+                float want = conv.computeNeuron(ins, n, &sub);
+                ++checked;
+                if (bitsOf(got.at(n)) != bitsOf(want) && bad++ == 0)
+                    ADD_FAILURE()
+                        << precisionName(p) << " "
+                        << (sub.kind == OperandSub::Kind::Weight
+                                ? "weight"
+                                : "input")
+                        << " sub " << sub.flatIndex << " = " << sub.value
+                        << " at " << n.str() << ": got " << got.at(n)
+                        << " want " << want;
+            }
+        };
+
+        // Weight subs: a whole output channel (PreBufWeight), and
+        // OperandWeight's t-position runs from a random phase,
+        // including the partial tail block and runs that wrap rows.
+        std::vector<std::size_t> widxs = {
+            conv.weightIndex(0, 0, 0, 0),
+            conv.weightIndex(spec.kh - 1, spec.kw - 1, cpg - 1,
+                             spec.outC - 1)};
+        for (int i = 0; i < 3; ++i)
+            widxs.push_back(rng.below(static_cast<std::uint32_t>(nw)));
+        for (std::size_t widx : widxs) {
+            std::vector<NeuronIndex> cons = conv.weightConsumers(ins, widx);
+            const std::size_t total = cons.size();
+            for (float v : values) {
+                OperandSub sub;
+                sub.kind = OperandSub::Kind::Weight;
+                sub.flatIndex = widx;
+                sub.value = v;
+                check(sub, cons, 0, total);
+                for (std::size_t t : {std::size_t{3}, std::size_t{16}}) {
+                    std::size_t blocks = (total + t - 1) / t;
+                    for (std::size_t blk :
+                         {static_cast<std::size_t>(rng.below(
+                              static_cast<std::uint32_t>(blocks))),
+                          blocks - 1}) {
+                        std::size_t len = std::min(t, total - blk * t);
+                        std::size_t phase =
+                            rng.below(static_cast<std::uint32_t>(len));
+                        check(sub, cons, blk * t + phase, len - phase);
+                    }
+                }
+            }
+        }
+
+        // Input subs: every consumer of one input element.
+        for (int i = 0; i < 5; ++i) {
+            std::size_t elem =
+                rng.below(static_cast<std::uint32_t>(x.size()));
+            std::vector<NeuronIndex> cons = conv.inputConsumers(ins, elem);
+            for (float v : values) {
+                OperandSub sub;
+                sub.kind = OperandSub::Kind::Input;
+                sub.flatIndex = elem;
+                sub.value = v;
+                check(sub, cons, 0, cons.size());
+            }
+        }
+        EXPECT_EQ(bad, 0) << precisionName(p) << ": " << bad << " of "
+                          << checked << " neurons differ";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvSubParam,
+    ::testing::Values(SubCase{{4, 8, 3, 1, 1, 1, 1, 6, 6}, 1},
+                      SubCase{{4, 8, 3, 2, 1, 1, 1, 8, 8}, 1},
+                      SubCase{{3, 6, 1, 1, 0, 1, 1, 5, 5}, 1},
+                      SubCase{{4, 8, 3, 1, 0, 1, 1, 7, 7}, 1},
+                      SubCase{{4, 8, 3, 1, 2, 2, 1, 9, 9}, 1},
+                      SubCase{{6, 6, 3, 1, 1, 1, 6, 6, 6}, 1},
+                      SubCase{{8, 16, 3, 1, 1, 1, 2, 6, 6}, 1},
+                      SubCase{{4, 8, 5, 1, 2, 1, 1, 8, 8}, 1},
+                      // Batch 2; more than two 8-position lane blocks
+                      // per row with a partial tail.
+                      SubCase{{3, 4, 3, 1, 1, 1, 1, 4, 21}, 2},
+                      // Depthwise at stride 2, batch 2.
+                      SubCase{{8, 8, 3, 2, 1, 1, 8, 9, 9}, 2},
+                      // Depthwise with channel multiplier 2, dilated.
+                      SubCase{{4, 8, 3, 1, 2, 2, 4, 10, 10}, 2}));
 
 namespace
 {

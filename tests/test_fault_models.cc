@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "core/fault_models.hh"
@@ -52,7 +54,87 @@ struct Fixture
     }
 };
 
+/**
+ * Reference for the weight fault models, built from weightConsumers
+ * and per-neuron computeNeuron.  It replays apply()'s draws on its own
+ * copy of the generator: PreBufWeight corrupts every consumer,
+ * OperandWeight the tail of one t-position block from a random phase.
+ */
+FaultApplication
+weightModelReference(FFCategory cat, const Fixture &f, Rng rng)
+{
+    const Conv2D &conv = *f.conv;
+    const Precision p = conv.precision();
+    std::size_t widx = rng.below(
+        static_cast<std::uint32_t>(conv.weightCount(f.ins)));
+    std::vector<NeuronIndex> cons = conv.weightConsumers(f.ins, widx);
+    OperandSub sub;
+    sub.kind = OperandSub::Kind::Weight;
+    sub.flatIndex = widx;
+    sub.value = FaultModels::flipStoredOperand(
+        conv.weightAt(f.ins, widx), p, conv.weightQuant(),
+        static_cast<int>(rng.below(FaultModels::operandBits(p))));
+    std::size_t start = 0, end = cons.size();
+    if (cat == FFCategory::OperandWeight) {
+        std::size_t t = f.cfg.t;
+        std::size_t blocks = (end + t - 1) / t;
+        std::size_t blk = rng.below(static_cast<std::uint32_t>(blocks));
+        std::size_t len = std::min(t, end - blk * t);
+        start = blk * t + rng.below(static_cast<std::uint32_t>(len));
+        end = blk * t + len;
+    }
+    FaultApplication app;
+    app.category = cat;
+    for (std::size_t i = start; i < end; ++i) {
+        float y = conv.computeNeuron(f.ins, cons[i], &sub);
+        float g = f.golden.at(cons[i]);
+        if (g == y || (std::isnan(g) && std::isnan(y)))
+            continue;
+        app.neurons.push_back(cons[i]);
+        app.values.push_back(y);
+        app.maxAbsDelta = std::max(
+            app.maxAbsDelta, std::isfinite(y)
+                                 ? std::fabs(static_cast<double>(y) - g)
+                                 : std::numeric_limits<double>::infinity());
+    }
+    return app;
+}
+
 } // namespace
+
+TEST(FaultModels, WeightModelsMatchPerNeuronReference)
+{
+    // apply() re-executes weight substitutions through the conv's
+    // vector path; it must agree with per-neuron recomputation bit for
+    // bit (neurons, value bit patterns and the max delta).
+    for (Precision p : {Precision::FP16, Precision::INT8}) {
+        Fixture f(p);
+        Rng rng(21);
+        for (FFCategory cat :
+             {FFCategory::PreBufWeight, FFCategory::OperandWeight}) {
+            int changed = 0;
+            for (int i = 0; i < 60; ++i) {
+                FaultApplication want = weightModelReference(cat, f, rng);
+                FaultApplication got =
+                    f.models.apply(cat, *f.conv, f.ins, f.golden, rng);
+                const std::string what = std::string(precisionName(p)) +
+                                         " " + ffCategoryName(cat) +
+                                         " #" + std::to_string(i);
+                ASSERT_EQ(got.neurons.size(), want.neurons.size()) << what;
+                for (std::size_t k = 0; k < got.neurons.size(); ++k) {
+                    EXPECT_EQ(got.neurons[k], want.neurons[k]) << what;
+                    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.values[k]),
+                              std::bit_cast<std::uint32_t>(want.values[k]))
+                        << what << " at " << got.neurons[k].str();
+                }
+                EXPECT_EQ(got.maxAbsDelta, want.maxAbsDelta) << what;
+                changed += !want.neurons.empty();
+            }
+            EXPECT_GT(changed, 30) << precisionName(p) << " "
+                                   << ffCategoryName(cat);
+        }
+    }
+}
 
 TEST(FaultModels, SharesSumToOne)
 {

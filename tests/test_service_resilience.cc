@@ -366,17 +366,23 @@ TEST(ServiceResilience, WorkerKilledMidShardIsReIssuedAndBitIdentical)
 
     // The victim dies via raise(SIGKILL) upon accepting its second
     // lease — after its first RESULT, holding an unserved lease — and
-    // the survivor must pick up the re-issued chunks.
+    // the survivor must pick up the re-issued chunks.  The survivor
+    // starts only after the victim has been reaped as killed: started
+    // together, a fast survivor could drain the plan before the victim
+    // was ever handed a second lease.
     const pid_t victim =
         spawnWorker("unix:" + sock, "victim", /*die_after_results=*/1);
-    const pid_t survivor = spawnWorker("unix:" + sock, "survivor");
 
     CoordinatorOptions copts;
     copts.listenAddr = "unix:" + sock;
     copts.leaseShards = 8;
-    CoordinatorRun run = runCampaignCoordinator(req, copts);
+    std::future<CoordinatorRun> coordinator = std::async(
+        std::launch::async,
+        [&] { return runCampaignCoordinator(req, copts); });
 
     EXPECT_TRUE(reapKilled(victim));
+    const pid_t survivor = spawnWorker("unix:" + sock, "survivor");
+    CoordinatorRun run = coordinator.get();
     EXPECT_TRUE(reapCleanExit(survivor));
     ASSERT_TRUE(run.complete);
     EXPECT_EQ(campaignChecksum(run.result), want)
