@@ -29,6 +29,15 @@
  * mismatch fails, and under the auto-dispatched backend so does a
  * vector path less than 5x faster than the per-neuron one.
  *
+ * Phase 1c gates the fault-batched engine's multi-column MAC rows: a
+ * 16x16x16 -> 16 3x3 conv at W = 8 injection lanes (FP16 through
+ * batchMacF32, INT8 through batchMacNarrow), every output cell's lane
+ * rows gathered once, then accumulated with whole pack-block column
+ * runs (as the batched conv issues them) and with one call per output
+ * channel (ncols = 1).  Any bit mismatch fails, and under the
+ * auto-dispatched backend so does an FP16 multi-column pass less than
+ * 1.5x faster than the single-column one.
+ *
  * Phase 2 runs a small injection campaign twice — SIMD on and off —
  * and exits non-zero if the campaign checksums differ: the CI smoke
  * gate for the kernels' bit-identity contract.
@@ -65,7 +74,9 @@
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 #include "sim/rng.hh"
+#include "simd/pack.hh"
 #include "simd/simd.hh"
+#include "tensor/bitops.hh"
 
 using namespace fidelity;
 
@@ -242,7 +253,8 @@ usage(const char *argv0)
         << "  --kernel=<substr>   only kernels whose name contains "
            "<substr>\n"
         << "                      (conv3x3, conv1x1, fc, matmul, "
-           "conv3x3-wsub);\n"
+           "conv3x3-wsub,\n"
+        << "                      conv3x3-batched);\n"
         << "                      also skips the campaign checksum "
            "gate\n"
         << "  --dtype=<name>      only one dtype: fp32, fp16, int8, "
@@ -272,6 +284,19 @@ weightSubSelected(const Options &opt)
     return (opt.kernel.empty() ||
             kWeightSubCase.find(opt.kernel) != std::string::npos) &&
            (opt.dtype.empty() || opt.dtype == "fp16");
+}
+
+/** Kernel name of the batched MAC gate (runBatchedMacGate). */
+const std::string kBatchedCase = "conv3x3-batched";
+
+/** Whether --kernel / --dtype select the batched MAC gate. */
+bool
+batchedSelected(const Options &opt)
+{
+    return (opt.kernel.empty() ||
+            kBatchedCase.find(opt.kernel) != std::string::npos) &&
+           (opt.dtype.empty() || opt.dtype == "fp16" ||
+            opt.dtype == "int8");
 }
 
 int
@@ -341,7 +366,7 @@ runThroughput(const Options &opt)
         }
     }
     if (records.empty()) {
-        if (weightSubSelected(opt))
+        if (weightSubSelected(opt) || batchedSelected(opt))
             return failures;
         std::cerr << "no kernel/dtype matches --kernel="
                   << opt.kernel << " --dtype=" << opt.dtype << "\n";
@@ -490,6 +515,173 @@ runWeightSubGate(const Options &opt)
                   << speedup << "x faster than per-neuron computeNeuron"
                   << " (gate " << kMinSpeedup << "x)\n";
         ++failures;
+    }
+    return failures;
+}
+
+int
+runBatchedMacGate(const Options &opt)
+{
+    // Same-build gate for the batched engine's MAC rows (phase 1c).
+    if (!batchedSelected(opt))
+        return 0;
+    const std::string &name = kBatchedCase;
+    constexpr int kHW = 16, kC = 16, kK = 3, W = 8;
+    constexpr int kRed = kK * kK * kC; // even: no narrow pad row
+    constexpr int kCells = kHW * kHW;
+    constexpr std::size_t kRowsLen = std::size_t{kCells} * kRed * W;
+    constexpr std::size_t kOutLen = std::size_t{kCells} * kC * W;
+    constexpr double kMinSpeedup = 1.5;
+    const double minSeconds =
+        (opt.minMs / 1000.0) * bench::scaledSamples(10) / 10.0;
+    const simd::KernelTable &kt = simd::table();
+    Rng rng(23);
+
+    // Lane rows of every output cell, [cell][(ci, kh, kw)][W] in the
+    // canonical reduction order, gathered from a [h][w][c][W] lane
+    // plane with the zero operand in the padding.
+    auto gatherRows = [&](const auto &plane) {
+        using T = typename std::decay_t<decltype(plane)>::value_type;
+        std::vector<T> rows(kRowsLen, T{});
+        T *dst = rows.data();
+        for (int oh = 0; oh < kHW; ++oh)
+            for (int ow = 0; ow < kHW; ++ow)
+                for (int ci = 0; ci < kC; ++ci)
+                    for (int kh = 0; kh < kK; ++kh)
+                        for (int kw = 0; kw < kK; ++kw, dst += W) {
+                            const int ih = oh - 1 + kh;
+                            const int iw = ow - 1 + kw;
+                            if (ih < 0 || ih >= kHW || iw < 0 ||
+                                iw >= kHW)
+                                continue;
+                            std::memcpy(
+                                dst,
+                                plane.data() +
+                                    ((ih * kHW + iw) * kC + ci) * W,
+                                W * sizeof(T));
+                        }
+        return rows;
+    };
+
+    int failures = 0;
+    // run(multi, out) makes one pass over every cell: whole pack-block
+    // runs when multi, else one call per output channel.
+    auto gate = [&](const char *dtype, bool gated, auto run,
+                    auto &outMulti, auto &outSingle) {
+        if (!opt.dtype.empty() && opt.dtype != dtype)
+            return;
+        run(true, outMulti);
+        run(false, outSingle);
+        if (std::memcmp(outMulti.data(), outSingle.data(),
+                        outMulti.size() * sizeof(outMulti[0])) != 0) {
+            std::cerr << "FAIL: " << name << " " << dtype
+                      << ": multi-column and single-column MAC rows "
+                         "differ\n";
+            ++failures;
+        }
+        // Interleaved legs, best of three each: one leg's noise
+        // cannot land on only one side of the ratio.
+        auto timeLeg = [&](bool multi, auto &out) {
+            double elapsed = 0.0;
+            std::size_t passes = 0;
+            while (elapsed < minSeconds) {
+                elapsed += bench::timeSeconds([&] { run(multi, out); });
+                ++passes;
+            }
+            return elapsed / static_cast<double>(passes);
+        };
+        double tMulti = 0.0, tSingle = 0.0;
+        for (int rep = 0; rep < 3; ++rep) {
+            const double m = timeLeg(true, outMulti);
+            const double s = timeLeg(false, outSingle);
+            tMulti = rep == 0 ? m : std::min(tMulti, m);
+            tSingle = rep == 0 ? s : std::min(tSingle, s);
+        }
+        const double speedup = tSingle / tMulti;
+        std::cout << name << " " << dtype << " (" << simd::backendName()
+                  << ", W=" << W << "): " << tMulti * 1e6
+                  << " us per pass with pack-block column runs, "
+                  << tSingle * 1e6 << " us with ncols=1 (" << speedup
+                  << "x)\n";
+        if (gated && opt.backend.empty() && speedup < kMinSpeedup) {
+            std::cerr << "FAIL: " << name << " " << dtype
+                      << ": multi-column MAC rows only " << speedup
+                      << "x faster than ncols=1 (gate " << kMinSpeedup
+                      << "x)\n";
+            ++failures;
+        }
+    };
+
+    {
+        // FP16: stored-form (binary16-rounded) operands and weights.
+        constexpr int PL = simd::kF32Lanes;
+        auto half = [&] {
+            return roundToHalf(static_cast<float>(rng.normal(0, 1)));
+        };
+        std::vector<float> plane(std::size_t{kHW} * kHW * kC * W);
+        for (float &v : plane)
+            v = half();
+        const std::vector<float> rows = gatherRows(plane);
+        std::vector<float> wts(std::size_t{kRed} * kC);
+        for (float &v : wts)
+            v = half();
+        std::vector<float> pack(simd::packSize(kRed, kC, PL));
+        simd::packLaneBlocked(
+            kRed, kC, PL,
+            [&](int k, int c) { return wts[static_cast<std::size_t>(k) * kC + c]; },
+            pack.data());
+        const std::size_t blkStride = std::size_t{kRed} * PL;
+        std::vector<float> outMulti(kOutLen), outSingle(kOutLen);
+        auto run = [&](bool multi, std::vector<float> &out) {
+            for (int cell = 0; cell < kCells; ++cell) {
+                const float *xg = rows.data() + static_cast<std::size_t>(cell) * kRed * W;
+                float *acc = out.data() + static_cast<std::size_t>(cell) * kC * W;
+                for (int oc = 0; oc < kC; oc += multi ? PL : 1)
+                    kt.batchMacF32(xg,
+                                   pack.data() + (oc / PL) * blkStride +
+                                       oc % PL,
+                                   kRed, PL, W, multi ? PL : 1,
+                                   acc + oc * W);
+            }
+        };
+        gate("fp16", true, run, outMulti, outSingle);
+    }
+    {
+        // INT8: quantised operands through the narrow pair pack.
+        constexpr int PL = simd::kNarrowLanes;
+        constexpr std::int32_t kMaxAbsW = 127;
+        std::vector<std::int16_t> plane(std::size_t{kHW} * kHW * kC * W);
+        for (auto &v : plane)
+            v = static_cast<std::int16_t>(
+                static_cast<int>(rng.below(256)) - 128);
+        const std::vector<std::int16_t> rows = gatherRows(plane);
+        std::vector<std::int32_t> wts(std::size_t{kRed} * kC);
+        for (auto &v : wts)
+            v = static_cast<std::int32_t>(rng.below(2 * kMaxAbsW + 1)) -
+                kMaxAbsW;
+        std::vector<std::int16_t> pack(simd::packNarrowSize(kRed, kC));
+        simd::packNarrow(
+            kRed, kC,
+            [&](int k, int c) { return wts[static_cast<std::size_t>(k) * kC + c]; },
+            pack.data());
+        const int redPairs = simd::packPairs(kRed);
+        const int chunk = simd::narrowChunkPairs(8, kMaxAbsW);
+        const std::size_t blkStride = static_cast<std::size_t>(redPairs) * 2 * PL;
+        std::vector<std::int64_t> outMulti(kOutLen), outSingle(kOutLen);
+        auto run = [&](bool multi, std::vector<std::int64_t> &out) {
+            for (int cell = 0; cell < kCells; ++cell) {
+                const std::int16_t *xg =
+                    rows.data() + static_cast<std::size_t>(cell) * kRed * W;
+                std::int64_t *acc = out.data() + static_cast<std::size_t>(cell) * kC * W;
+                for (int oc = 0; oc < kC; oc += multi ? PL : 1)
+                    kt.batchMacNarrow(xg,
+                                      pack.data() + (oc / PL) * blkStride +
+                                          (oc % PL) * 2,
+                                      redPairs, 2 * PL, chunk, W,
+                                      multi ? PL : 1, acc + oc * W);
+            }
+        };
+        gate("int8", false, run, outMulti, outSingle);
     }
     return failures;
 }
@@ -655,7 +847,8 @@ main(int argc, char **argv)
     std::cout << "dispatch backend " << simd::backendName() << " ("
               << simd::dispatchMode() << ")\n";
 
-    int failures = runThroughput(opt) + runWeightSubGate(opt);
+    int failures = runThroughput(opt) + runWeightSubGate(opt) +
+                   runBatchedMacGate(opt);
     // The campaign gate is whole-network; a kernel filter means a
     // targeted microbench run, so only the filtered phase executes.
     if (opt.kernel.empty())

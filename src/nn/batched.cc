@@ -275,11 +275,20 @@ BatchedEngineT<BMAX>::execute()
                     int nsp = 1;
                     if (cover)
                         sp = cover->row(n, h, nsp);
+                    const std::size_t rowBase = golden.offset(n, h, 0, 0);
                     for (int si = 0; si < nsp; ++si) {
                     for (int w = sp[si].w0; w < sp[si].w1; ++w) {
+                        // Per (n, h, w) row, each lane's first and last
+                        // changed channel (the spans ascend); only
+                        // those two reach the lane's box, as in the
+                        // incremental engine's changedBox.
+                        std::uint32_t rowMask = 0;
+                        int first[BMAX], last[BMAX];
                         for (int cs = 0; cs < ncs; ++cs) {
                         std::size_t flat =
-                            golden.offset(n, h, w, csp[cs].w0);
+                            rowBase +
+                            static_cast<std::size_t>(w) * golden.c() +
+                            csp[cs].w0;
                         for (int c = csp[cs].w0; c < csp[cs].w1;
                              ++c, ++flat) {
                             std::uint32_t m =
@@ -288,12 +297,23 @@ BatchedEngineT<BMAX>::execute()
                                 coneMask;
                             if (!m)
                                 continue;
+                            std::uint32_t fresh = m & ~rowMask;
+                            rowMask |= m;
+                            while (fresh) {
+                                first[std::countr_zero(fresh)] = c;
+                                fresh &= fresh - 1;
+                            }
                             while (m) {
-                                int l = std::countr_zero(m);
+                                last[std::countr_zero(m)] = c;
                                 m &= m - 1;
-                                diffs[l].include({n, h, w, c});
                             }
                         }
+                        }
+                        while (rowMask) {
+                            int l = std::countr_zero(rowMask);
+                            rowMask &= rowMask - 1;
+                            diffs[l].include({n, h, w, first[l]});
+                            diffs[l].include({n, h, w, last[l]});
                         }
                     }
                     }

@@ -210,34 +210,33 @@ convRegionNarrow(const simd::KernelTable &kt, const ConvSpec &spec,
 }
 
 /**
- * Fault-batched float kernel: the SIMD lanes hold W *injections* of
- * the same fault cell instead of W output channels.  The window math,
- * padding tests, and packed-weight stream are shared by the batch; the
- * dispatched table's lane-minor MAC row accumulates all W lanes of one
- * output channel per call (canonical k order, unfused per-lane
- * multiply-adds, so every lane is bit-identical to the scalar
- * kernels).  `loadG(dst, n, ih, iw, ci)` fills W stored-form lane
- * operands (the zero stored-form when out of range), and `wbRow(op,
- * oc)` applies bias and the writeback path to the whole lane row in
- * place (rounding the row as one batch).
+ * Fault-batched conv walk: the SIMD lanes hold W *injections* of the
+ * same fault cell instead of W output channels.  The window math,
+ * padding tests, and packed-weight stream are shared by the batch.
+ * Per covered output cell and group, the window's lane rows land in
+ * `xg` in canonical (ci, kh, kw) order: per tap, `loadG(dst, stride,
+ * src, count)` fills `count` rows of W stored-form lane operands,
+ * `stride` elements apart from `dst`, with the input channels that
+ * start at flat element `src` of `x` (adjacent in the lane plane), or
+ * with the zero stored form when `src` is negative (padding).  The
+ * covered channels are then
+ * split into runs that stay inside one PL-wide pack block, and
+ * `macRun(g, oc, ocg, nc, flat)` accumulates and writes back the nc
+ * channels oc.. (ocg.. within group g) of output element `flat`.  A
+ * run's lane rows are contiguous in the plane (lanes(flat + c) ==
+ * lanes(flat) + c*W) and its weights are adjacent pack lanes, so one
+ * multi-column MAC call serves the whole run.
  */
-template <int W, class LoadG, class WBRow>
+template <int W, int PL, class T, class LoadG, class MacRun>
 void
-convBatchedFloat(const simd::KernelTable &kt, const ConvSpec &spec,
-                 int cpg, int opg, const float *packed, const Region &r,
-                 const BatchCover *cover, const Tensor &golden,
-                 LanePlane &out, float *xg, LoadG loadG, WBRow wbRow)
+convBatched(const ConvSpec &spec, int cpg, int opg, const Region &r,
+            const BatchCover *cover, const Tensor &x,
+            const Tensor &golden, T *xg, LoadG loadG, MacRun macRun)
 {
-    // The weight pack is laid out for the *channel* kernels' lane
-    // width; here it is walked scalar, one output channel at a time.
-    constexpr int PL = simd::kF32Lanes;
-    const int blocksPerGroup = simd::packBlocks(opg, PL);
-    const std::size_t redLen =
-        static_cast<std::size_t>(cpg) * spec.kh * spec.kw;
-    const std::size_t blkStride = redLen * PL;
-    const std::size_t gStride = blocksPerGroup * blkStride;
     const int g0 = r.c0 / opg;
     const int g1 = (r.c1 - 1) / opg;
+    const int taps = spec.kh * spec.kw;
+    const std::size_t tapStride = static_cast<std::size_t>(taps) * W;
 
     const BatchCover::Span full{r.w0, r.w1};
     const BatchCover::Span cfull{r.c0, r.c1};
@@ -252,8 +251,10 @@ convBatchedFloat(const simd::KernelTable &kt, const ConvSpec &spec,
             if (cover)
                 sp = cover->row(n, oh, nsp);
             for (int si = 0; si < nsp; ++si) {
+            const std::size_t rowBase = golden.offset(n, oh, 0, 0);
             for (int ow = sp[si].w0; ow < sp[si].w1; ++ow) {
-                std::size_t base = golden.offset(n, oh, ow, 0);
+                const std::size_t base =
+                    rowBase + static_cast<std::size_t>(ow) * golden.c();
                 for (int g = g0; g <= g1; ++g) {
                     int lo = std::max(r.c0, g * opg);
                     int hi = std::min(r.c1, (g + 1) * opg);
@@ -263,198 +264,31 @@ convBatchedFloat(const simd::KernelTable &kt, const ConvSpec &spec,
                               std::max(lo, csp[cs].w0);
                     if (!any)
                         continue; // no covered channel in this group
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                loadG(xg + t * W, n, ih, iw, ci);
-                                ++t;
-                            }
+                    for (int kh = 0; kh < spec.kh; ++kh) {
+                        int ih = oh * spec.stride - spec.pad +
+                                 kh * spec.dilation;
+                        for (int kw = 0; kw < spec.kw; ++kw) {
+                            int iw = ow * spec.stride - spec.pad +
+                                     kw * spec.dilation;
+                            const bool inside = ih >= 0 && ih < x.h() &&
+                                                iw >= 0 && iw < x.w();
+                            const std::ptrdiff_t src =
+                                inside ? ((static_cast<std::ptrdiff_t>(n) *
+                                               x.h() + ih) * x.w() + iw) *
+                                                 x.c() + g * cpg
+                                       : -1;
+                            loadG(xg + (kh * spec.kw + kw) * W, tapStride,
+                                  src, cpg);
                         }
                     }
                     for (int cs = 0; cs < ncs; ++cs) {
                     int clo = std::max(lo, csp[cs].w0);
                     int chi = std::min(hi, csp[cs].w1);
-                    for (int oc = clo; oc < chi; ++oc) {
-                        int ocg = oc - g * opg;
-                        const float *wrow = packed + g * gStride +
-                                            (ocg / PL) * blkStride +
-                                            (ocg % PL);
-                        float *op = out.lanes(base + oc);
-                        kt.batchMacF32(xg, wrow, redLen, PL, W, op);
-                        wbRow(op, oc);
-                    }
-                    }
-                }
-            }
-            }
-        }
-    }
-}
-
-/**
- * Integer-mode twin: W int64 lane accumulators.  The weight scalar
- * and the lane-operand pointer swap roles relative to the channel
- * kernel — multiplication commutes, so the lane-minor MAC row is the
- * exact product either way.  `wbRow(lanes, op, oc)` turns the W int64
- * accumulators into the lane row's stored outputs in one batch.
- */
-template <int W, class LoadG, class WBRow>
-void
-convBatchedInt(const simd::KernelTable &kt, const ConvSpec &spec,
-               int cpg, int opg, const std::int32_t *packed,
-               const Region &r, const BatchCover *cover,
-               const Tensor &golden, LanePlane &out, std::int32_t *xg,
-               LoadG loadG, WBRow wbRow)
-{
-    constexpr int PL = simd::kI64Lanes;
-    const int blocksPerGroup = simd::packBlocks(opg, PL);
-    const std::size_t redLen =
-        static_cast<std::size_t>(cpg) * spec.kh * spec.kw;
-    const std::size_t blkStride = redLen * PL;
-    const std::size_t gStride = blocksPerGroup * blkStride;
-    const int g0 = r.c0 / opg;
-    const int g1 = (r.c1 - 1) / opg;
-
-    std::int64_t lanes[W];
-    const BatchCover::Span full{r.w0, r.w1};
-    const BatchCover::Span cfull{r.c0, r.c1};
-    const BatchCover::Span *csp = &cfull;
-    int ncs = 1;
-    if (cover)
-        csp = cover->chanSpans(ncs);
-    for (int n = r.n0; n < r.n1; ++n) {
-        for (int oh = r.h0; oh < r.h1; ++oh) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, oh, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int ow = sp[si].w0; ow < sp[si].w1; ++ow) {
-                std::size_t base = golden.offset(n, oh, ow, 0);
-                for (int g = g0; g <= g1; ++g) {
-                    int lo = std::max(r.c0, g * opg);
-                    int hi = std::min(r.c1, (g + 1) * opg);
-                    bool any = false;
-                    for (int cs = 0; cs < ncs && !any; ++cs)
-                        any = std::min(hi, csp[cs].w1) >
-                              std::max(lo, csp[cs].w0);
-                    if (!any)
-                        continue; // no covered channel in this group
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                loadG(xg + t * W, n, ih, iw, ci);
-                                ++t;
-                            }
-                        }
-                    }
-                    for (int cs = 0; cs < ncs; ++cs) {
-                    int clo = std::max(lo, csp[cs].w0);
-                    int chi = std::min(hi, csp[cs].w1);
-                    for (int oc = clo; oc < chi; ++oc) {
-                        int ocg = oc - g * opg;
-                        const std::int32_t *wrow =
-                            packed + g * gStride +
-                            (ocg / PL) * blkStride + (ocg % PL);
-                        kt.batchMacI64(xg, wrow, redLen, PL, W, lanes);
-                        wbRow(lanes, out.lanes(base + oc), oc);
-                    }
-                    }
-                }
-            }
-            }
-        }
-    }
-}
-
-/**
- * Narrow integer batched kernel: int16 lane rows against the
- * pair-interleaved pack.  `xg` holds 2 * packPairs(redLen) rows of W
- * lanes; the caller zeroes the pad row (odd reductions) once — the
- * gather only writes redLen rows.  Exact by the chunk bound, hence
- * bit-identical to convBatchedInt.
- */
-template <int W, class LoadG, class WBRow>
-void
-convBatchedNarrow(const simd::KernelTable &kt, const ConvSpec &spec,
-                  int cpg, int opg, const std::int16_t *packed,
-                  int chunkPairs, const Region &r,
-                  const BatchCover *cover, const Tensor &golden,
-                  LanePlane &out, std::int16_t *xg, LoadG loadG,
-                  WBRow wbRow)
-{
-    constexpr int PL = simd::kNarrowLanes;
-    const int blocksPerGroup = simd::packBlocks(opg, PL);
-    const int redLen = cpg * spec.kh * spec.kw;
-    const int redPairs = simd::packPairs(redLen);
-    const std::size_t blkStride =
-        static_cast<std::size_t>(redPairs) * 2 * PL;
-    const std::size_t gStride = blocksPerGroup * blkStride;
-    const int g0 = r.c0 / opg;
-    const int g1 = (r.c1 - 1) / opg;
-
-    std::int64_t lanes[W];
-    const BatchCover::Span full{r.w0, r.w1};
-    const BatchCover::Span cfull{r.c0, r.c1};
-    const BatchCover::Span *csp = &cfull;
-    int ncs = 1;
-    if (cover)
-        csp = cover->chanSpans(ncs);
-    for (int n = r.n0; n < r.n1; ++n) {
-        for (int oh = r.h0; oh < r.h1; ++oh) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, oh, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int ow = sp[si].w0; ow < sp[si].w1; ++ow) {
-                std::size_t base = golden.offset(n, oh, ow, 0);
-                for (int g = g0; g <= g1; ++g) {
-                    int lo = std::max(r.c0, g * opg);
-                    int hi = std::min(r.c1, (g + 1) * opg);
-                    bool any = false;
-                    for (int cs = 0; cs < ncs && !any; ++cs)
-                        any = std::min(hi, csp[cs].w1) >
-                              std::max(lo, csp[cs].w0);
-                    if (!any)
-                        continue; // no covered channel in this group
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                loadG(xg + t * W, n, ih, iw, ci);
-                                ++t;
-                            }
-                        }
-                    }
-                    for (int cs = 0; cs < ncs; ++cs) {
-                    int clo = std::max(lo, csp[cs].w0);
-                    int chi = std::min(hi, csp[cs].w1);
-                    for (int oc = clo; oc < chi; ++oc) {
-                        int ocg = oc - g * opg;
-                        const std::int16_t *wrow =
-                            packed + g * gStride +
-                            (ocg / PL) * blkStride + (ocg % PL) * 2;
-                        kt.batchMacNarrow(xg, wrow, redPairs, PL * 2,
-                                          chunkPairs, W, lanes);
-                        wbRow(lanes, out.lanes(base + oc), oc);
+                    for (int oc = clo; oc < chi;) {
+                        const int ocg = oc - g * opg;
+                        const int nc = std::min(chi - oc, PL - ocg % PL);
+                        macRun(g, oc, ocg, nc, base + oc);
+                        oc += nc;
                     }
                     }
                 }
@@ -1184,7 +1018,7 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
                         if (integer) {
                             gather(xgI.data(), xq.data() + at);
                             kt.batchMacI64(xgI.data(), colI.data(), redLen,
-                                           1, W, accI);
+                                           1, W, 1, accI);
                             // Left-associated like computeNeuron: the
                             // double rounding order is part of the bit
                             // contract.
@@ -1196,7 +1030,7 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
                         } else {
                             gather(xgF.data(), xs.data() + at);
                             kt.batchMacF32(xgF.data(), colF.data(), redLen,
-                                           1, W, accF);
+                                           1, W, 1, accF);
                             for (int l = 0; l < cnt; ++l)
                                 o[l * outC] = writeback(
                                     static_cast<double>(accF[l]), bias);
@@ -1222,7 +1056,6 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
 
     const int cpg = spec_.inC / spec_.groups;
     const int opg = spec_.outC / spec_.groups;
-    const int xh = x.h(), xw = x.w(), xc = x.c();
 
     // Input footprint of the output region: every cell any window of
     // the region can read.  The lane plane materialises (golden-fills)
@@ -1356,90 +1189,136 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
     if (integer) {
         const std::int32_t *xsrc = xsI.data();
         const std::int32_t zero_q = quantInput(0.0f);
-        auto wb = [&](const std::int64_t *lanes, float *op, int oc) {
+        // Accumulators of one pack-block run (at most kNarrowLanes
+        // channels, the wider of the two integer pack widths).
+        constexpr int kRunMax = simd::kNarrowLanes * W;
+        std::int64_t acc[kRunMax];
+        auto wb = [&](int oc, int nc, float *op) {
             // Left-associated like computeNeuron: the double rounding
             // order is part of the bit contract.  Splitting writeback
             // into real-value, batch-quantise, dequantise steps keeps
             // each lane's arithmetic exactly the scalar sequence.
-            const float b = biasAt(oc);
-            float real[W];
-            std::int32_t q[W];
-            for (int l = 0; l < W; ++l)
-                real[l] = static_cast<float>(
-                              static_cast<double>(lanes[l]) *
-                              inQuant_.scale * wQuant_.scale) +
-                          b;
-            simd::quantizeBatch(real, q, W, outQuant_);
-            for (int l = 0; l < W; ++l)
-                op[l] = dequantize(q[l], outQuant_);
+            float real[kRunMax];
+            std::int32_t q[kRunMax];
+            int c = 0;
+            do { // a run holds at least one channel
+                const float b = biasAt(oc + c);
+                for (int l = 0; l < W; ++l)
+                    real[c * W + l] =
+                        static_cast<float>(
+                            static_cast<double>(acc[c * W + l]) *
+                            inQuant_.scale * wQuant_.scale) +
+                        b;
+            } while (++c < nc);
+            simd::quantizeBatch(real, q, nc * W, outQuant_);
+            for (int i = 0; i < nc * W; ++i)
+                op[i] = dequantize(q[i], outQuant_);
         };
         if (narrow) {
-            auto loadG = [&](std::int16_t *dst, int n, int ih, int iw,
-                             int ci) {
-                bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-                if (!ok) {
-                    for (int l = 0; l < W; ++l)
-                        dst[l] = static_cast<std::int16_t>(zero_q);
+            auto loadG = [&](std::int16_t *dst, std::size_t stride,
+                             std::ptrdiff_t src, int count) {
+                if (src < 0) {
+                    for (int i = 0; i < count; ++i, dst += stride)
+                        std::fill_n(dst, W,
+                                    static_cast<std::int16_t>(zero_q));
                     return;
                 }
-                const std::int32_t *src =
-                    xsrc +
-                    (((static_cast<std::size_t>(n) * xh + ih) * xw +
-                      iw) * xc + ci) * W;
-                for (int l = 0; l < W; ++l)
-                    dst[l] = static_cast<std::int16_t>(src[l]);
+                const std::int32_t *s = xsrc + src * W;
+                for (int i = 0; i < count; ++i, dst += stride, s += W)
+                    for (int l = 0; l < W; ++l)
+                        dst[l] = static_cast<std::int16_t>(s[l]);
             };
-            convBatchedNarrow<W>(kt, spec_, cpg, opg, wPackN_.data(),
-                                 chunkPairs_, region, cover, golden,
-                                 out, xgN.data(), loadG, wb);
+            // Exact by the chunk bound, hence bit-identical to the
+            // wide path.  xgN holds 2 * redPairs rows; the pad row of
+            // an odd reduction was zeroed above (the gather only
+            // writes redLen rows).
+            constexpr int PL = simd::kNarrowLanes;
+            const std::size_t blkStride =
+                static_cast<std::size_t>(redPairs) * 2 * PL;
+            const std::size_t gStride =
+                simd::packBlocks(opg, PL) * blkStride;
+            convBatched<W, PL>(
+                spec_, cpg, opg, region, cover, x, golden, xgN.data(),
+                loadG, [&](int g, int oc, int ocg, int nc,
+                           std::size_t flat) {
+                    kt.batchMacNarrow(xgN.data(),
+                                      wPackN_.data() + g * gStride +
+                                          (ocg / PL) * blkStride +
+                                          (ocg % PL) * 2,
+                                      redPairs, PL * 2, chunkPairs_, W,
+                                      nc, acc);
+                    wb(oc, nc, out.lanes(flat));
+                });
         } else {
-            auto loadG = [&](std::int32_t *dst, int n, int ih, int iw,
-                             int ci) {
-                bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-                if (!ok) {
-                    for (int l = 0; l < W; ++l)
-                        dst[l] = zero_q;
+            auto loadG = [&](std::int32_t *dst, std::size_t stride,
+                             std::ptrdiff_t src, int count) {
+                if (src < 0) {
+                    for (int i = 0; i < count; ++i, dst += stride)
+                        std::fill_n(dst, W, zero_q);
                     return;
                 }
-                std::size_t off =
-                    ((static_cast<std::size_t>(n) * xh + ih) * xw +
-                     iw) * xc + ci;
-                std::memcpy(dst, xsrc + off * W,
-                            W * sizeof(std::int32_t));
+                const std::int32_t *s = xsrc + src * W;
+                for (int i = 0; i < count; ++i, dst += stride, s += W)
+                    std::memcpy(dst, s, W * sizeof(std::int32_t));
             };
-            convBatchedInt<W>(kt, spec_, cpg, opg, wPackI_.data(),
-                              region, cover, golden, out, xgI.data(),
-                              loadG, wb);
+            // The weight scalar and the lane-operand pointer swap
+            // roles relative to the channel kernel — multiplication
+            // commutes, so the lane-minor MAC row is the exact
+            // product either way.
+            constexpr int PL = simd::kI64Lanes;
+            const std::size_t blkStride =
+                static_cast<std::size_t>(redLen) * PL;
+            const std::size_t gStride =
+                simd::packBlocks(opg, PL) * blkStride;
+            convBatched<W, PL>(
+                spec_, cpg, opg, region, cover, x, golden, xgI.data(),
+                loadG, [&](int g, int oc, int ocg, int nc,
+                           std::size_t flat) {
+                    kt.batchMacI64(xgI.data(),
+                                   wPackI_.data() + g * gStride +
+                                       (ocg / PL) * blkStride + ocg % PL,
+                                   redLen, PL, W, nc, acc);
+                    wb(oc, nc, out.lanes(flat));
+                });
         }
     } else {
         const float *xsrc = convert ? xsF.data() : xlane;
         const float zero_s = storeInput(0.0f);
-        auto loadG = [&](float *dst, int n, int ih, int iw, int ci) {
-            bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-            if (!ok) {
-                for (int l = 0; l < W; ++l)
-                    dst[l] = zero_s;
+        auto loadG = [&](float *dst, std::size_t stride,
+                         std::ptrdiff_t src, int count) {
+            if (src < 0) {
+                for (int i = 0; i < count; ++i, dst += stride)
+                    std::fill_n(dst, W, zero_s);
                 return;
             }
-            std::size_t off =
-                ((static_cast<std::size_t>(n) * xh + ih) * xw + iw) *
-                    xc + ci;
-            std::memcpy(dst, xsrc + off * W, W * sizeof(float));
+            const float *s = xsrc + src * W;
+            for (int i = 0; i < count; ++i, dst += stride, s += W)
+                std::memcpy(dst, s, W * sizeof(float));
         };
         const bool half = precision_ == Precision::FP16;
-        auto wb = [&](float *op, int oc) {
-            // writeback(acc, bias) over the row: the accumulators are
-            // already in op, so add bias in place and round the whole
-            // lane row as one batch (identical per element).
-            const float b = biasAt(oc);
-            for (int l = 0; l < W; ++l)
-                op[l] += b;
-            if (half)
-                simd::roundToHalfBatch(op, op, W);
-        };
-        convBatchedFloat<W>(kt, spec_, cpg, opg, wPackF_.data(),
-                            region, cover, golden, out, xgF.data(),
-                            loadG, wb);
+        constexpr int PL = simd::kF32Lanes;
+        const std::size_t blkStride = static_cast<std::size_t>(redLen) * PL;
+        const std::size_t gStride = simd::packBlocks(opg, PL) * blkStride;
+        convBatched<W, PL>(
+            spec_, cpg, opg, region, cover, x, golden, xgF.data(), loadG,
+            [&](int g, int oc, int ocg, int nc, std::size_t flat) {
+                // The kernel writes the accumulators straight into the
+                // run's lane rows; writeback(acc, bias) then adds bias
+                // in place and rounds all nc rows as one batch
+                // (identical per element).
+                float *op = out.lanes(flat);
+                kt.batchMacF32(xgF.data(),
+                               wPackF_.data() + g * gStride +
+                                   (ocg / PL) * blkStride + ocg % PL,
+                               redLen, PL, W, nc, op);
+                for (int c = 0; c < nc; ++c) {
+                    const float b = biasAt(oc + c);
+                    for (int l = 0; l < W; ++l)
+                        op[c * W + l] += b;
+                }
+                if (half)
+                    simd::roundToHalfBatch(op, op, nc * W);
+            });
     }
 }
 

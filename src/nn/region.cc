@@ -42,23 +42,6 @@ Region::contains(const NeuronIndex &i) const
 }
 
 void
-Region::include(const NeuronIndex &i)
-{
-    if (empty()) {
-        *this = of(i);
-        return;
-    }
-    n0 = std::min(n0, i.n);
-    n1 = std::max(n1, i.n + 1);
-    h0 = std::min(h0, i.h);
-    h1 = std::max(h1, i.h + 1);
-    w0 = std::min(w0, i.w);
-    w1 = std::max(w1, i.w + 1);
-    c0 = std::min(c0, i.c);
-    c1 = std::max(c1, i.c + 1);
-}
-
-void
 Region::merge(const Region &o)
 {
     if (o.empty())

@@ -14,6 +14,7 @@
 #ifndef FIDELITY_NN_REGION_HH
 #define FIDELITY_NN_REGION_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -53,8 +54,24 @@ struct Region
     /** True when the element lies inside the box. */
     bool contains(const NeuronIndex &i) const;
 
-    /** Grow the box to include one element. */
-    void include(const NeuronIndex &i);
+    /** Grow the box to include one element (inline: the diff scans
+     *  call it per changed row). */
+    void
+    include(const NeuronIndex &i)
+    {
+        if (empty()) {
+            *this = of(i);
+            return;
+        }
+        n0 = std::min(n0, i.n);
+        n1 = std::max(n1, i.n + 1);
+        h0 = std::min(h0, i.h);
+        h1 = std::max(h1, i.h + 1);
+        w0 = std::min(w0, i.w);
+        w1 = std::max(w1, i.w + 1);
+        c0 = std::min(c0, i.c);
+        c1 = std::max(c1, i.c + 1);
+    }
 
     /** Grow the box to the bounding box of the union with `o`. */
     void merge(const Region &o);

@@ -1,5 +1,7 @@
 #include "sim/result_cache.hh"
 
+#include <new>
+
 namespace fidelity
 {
 
@@ -48,6 +50,16 @@ std::uint64_t mixIndex(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+std::uint64_t loadWord(std::uint64_t &w)
+{
+    return std::atomic_ref<std::uint64_t>(w).load(std::memory_order_relaxed);
+}
+
+void storeWord(std::uint64_t &w, std::uint64_t v)
+{
+    std::atomic_ref<std::uint64_t>(w).store(v, std::memory_order_relaxed);
+}
+
 std::size_t floorPow2(std::size_t v)
 {
     std::size_t p = 1;
@@ -63,7 +75,11 @@ ResultCache::ResultCache(std::size_t capacity_bytes)
     const std::size_t cluster_bytes = kClusterEntries * kEntryBytes;
     std::size_t clusters = capacity_bytes / (kShards * cluster_bytes);
     clustersPerShard_ = clusters == 0 ? 1 : floorPow2(clusters);
-    entries_ = std::make_unique<Entry[]>(kShards * clustersPerShard_ * kClusterEntries);
+    static_assert(sizeof(Entry) == kEntryBytes);
+    static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free);
+    entries_.reset(static_cast<Entry *>(std::calloc(entryCount(), sizeof(Entry))));
+    if (!entries_)
+        throw std::bad_alloc();
     stats_ = std::make_unique<ShardStats[]>(kShards);
 }
 
@@ -81,8 +97,8 @@ bool ResultCache::probe(std::uint64_t fingerprint, CachedOutcome &out)
     Entry *c = cluster(fingerprint, shard);
     for (std::size_t i = 0; i < kClusterEntries; ++i)
     {
-        const std::uint64_t xkey = c[i].xkey.load(std::memory_order_relaxed);
-        const std::uint64_t data = c[i].data.load(std::memory_order_relaxed);
+        const std::uint64_t xkey = loadWord(c[i].xkey);
+        const std::uint64_t data = loadWord(c[i].data);
         // Both checks must pass: the XOR couples the two words (a torn
         // read fails it), the tag couples the data word to the probed
         // fingerprint.  Either alone would admit a wrong outcome under
@@ -115,8 +131,8 @@ void ResultCache::store(std::uint64_t fingerprint, CachedOutcome out)
     bool victim_live = true;
     for (std::size_t i = 0; i < kClusterEntries; ++i)
     {
-        const std::uint64_t xkey = c[i].xkey.load(std::memory_order_relaxed);
-        const std::uint64_t d = c[i].data.load(std::memory_order_relaxed);
+        const std::uint64_t xkey = loadWord(c[i].xkey);
+        const std::uint64_t d = loadWord(c[i].data);
         if ((xkey ^ d) == fingerprint && dataMatches(fingerprint, d))
         {
             victim = i;
@@ -146,8 +162,8 @@ void ResultCache::store(std::uint64_t fingerprint, CachedOutcome out)
     if (victim_live)
         stats_[shard].evictions.fetch_add(1, std::memory_order_relaxed);
     stats_[shard].stores.fetch_add(1, std::memory_order_relaxed);
-    c[victim].data.store(data, std::memory_order_relaxed);
-    c[victim].xkey.store(fingerprint ^ data, std::memory_order_relaxed);
+    storeWord(c[victim].data, data);
+    storeWord(c[victim].xkey, fingerprint ^ data);
 }
 
 void ResultCache::newGeneration()

@@ -47,6 +47,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 
 namespace fidelity
@@ -129,13 +130,22 @@ class ResultCache
     std::size_t capacityBytes() const { return entryCount() * kEntryBytes; }
 
   private:
-    /** One 16-byte packed entry.  `xkey` holds fingerprint ^ data;
-     *  `data` packs valid/masked/earlyExit bits, the generation stamp,
-     *  and the top 48 fingerprint bits as a second integrity tag. */
+    /**
+     * One 16-byte packed entry of plain words, every access through
+     * std::atomic_ref.  `xkey` holds fingerprint ^ data; `data` packs
+     * valid/masked/earlyExit bits, the generation stamp, and the top
+     * 48 fingerprint bits as a second integrity tag.
+     */
     struct Entry
     {
-        std::atomic<std::uint64_t> xkey{0};
-        std::atomic<std::uint64_t> data{0};
+        std::uint64_t xkey;
+        std::uint64_t data;
+    };
+
+    /** Releases the calloc'd entries. */
+    struct FreeEntries
+    {
+        void operator()(Entry *p) const { std::free(p); }
     };
 
     /** Per-shard counter block, cache-line padded so neighbouring
@@ -150,7 +160,10 @@ class ResultCache
 
     Entry *cluster(std::uint64_t fingerprint, std::size_t &shard);
 
-    std::unique_ptr<Entry[]> entries_;
+    /** The entries come from calloc, so a large table is zero-filled
+     *  lazily by the OS: a campaign touches (and pays for) only the
+     *  pages its fingerprints land in, not the whole capacity. */
+    std::unique_ptr<Entry[], FreeEntries> entries_;
     std::unique_ptr<ShardStats[]> stats_;
     std::size_t clustersPerShard_ = 0; //!< power of two
     std::atomic<std::uint32_t> generation_{0};

@@ -30,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "simd/simd.hh"
 
@@ -170,15 +171,31 @@ struct ScalarBackendT
         return r;
     }
 
-    /** acc[l] += (int64)x * w[l] over kI64W int32 weights. */
+    /** kI64W int32 operands, loaded once and shared by every
+     *  i64mulAcc against them. */
+    struct I32Row
+    {
+        std::int32_t v[LI];
+    };
+
+    static I32Row
+    i32row(const std::int32_t *p)
+    {
+        I32Row r;
+        for (int i = 0; i < LI; ++i)
+            r.v[i] = p[i];
+        return r;
+    }
+
+    /** acc[l] += (int64)x * w[l] over kI64W int32 operands. */
     static I64
-    i64mulAcc(I64 acc, std::int32_t x, const std::int32_t *w)
+    i64mulAcc(I64 acc, std::int32_t x, I32Row w)
     {
         I64 r;
         for (int i = 0; i < LI; ++i)
             r.v[i] = acc.v[i] +
                      static_cast<std::int64_t>(x) *
-                         static_cast<std::int64_t>(w[i]);
+                         static_cast<std::int64_t>(w.v[i]);
         return r;
     }
 
@@ -232,9 +249,14 @@ struct Sse2Backend
     static void f32store(float *p, F32 v) { _mm_storeu_ps(p, v); }
 
     using I64 = Scalar4::I64;
+    using I32Row = Scalar4::I32Row;
     static I64 i64zero() { return Scalar4::i64zero(); }
+    static I32Row i32row(const std::int32_t *p)
+    {
+        return Scalar4::i32row(p);
+    }
     static I64
-    i64mulAcc(I64 acc, std::int32_t x, const std::int32_t *w)
+    i64mulAcc(I64 acc, std::int32_t x, I32Row w)
     {
         return Scalar4::i64mulAcc(acc, x, w);
     }
@@ -281,18 +303,26 @@ struct Avx2Backend
 
     using I64 = __m256i;
 
+    /** Four int32 operands sign-extended into 64-bit lanes. */
+    using I32Row = __m256i;
+
     static I64 i64zero() { return _mm256_setzero_si256(); }
 
-    static I64
-    i64mulAcc(I64 acc, std::int32_t x, const std::int32_t *w)
+    static I32Row
+    i32row(const std::int32_t *p)
     {
-        __m256i wv = _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(w)));
+        return _mm256_cvtepi32_epi64(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+    }
+
+    static I64
+    i64mulAcc(I64 acc, std::int32_t x, I32Row w)
+    {
         // mul_epi32 reads the low signed 32 bits of each 64-bit lane;
         // zero-extending x keeps exactly those bits.
         __m256i xv = _mm256_set1_epi64x(
             static_cast<std::int64_t>(static_cast<std::uint32_t>(x)));
-        return _mm256_add_epi64(acc, _mm256_mul_epi32(xv, wv));
+        return _mm256_add_epi64(acc, _mm256_mul_epi32(xv, w));
     }
 
     static void
@@ -340,13 +370,16 @@ struct NeonBackend
     static void f32store(float *p, F32 v) { vst1q_f32(p, v); }
 
     using I64 = int64x2_t;
+    using I32Row = int32x2_t;
 
     static I64 i64zero() { return vdupq_n_s64(0); }
 
+    static I32Row i32row(const std::int32_t *p) { return vld1_s32(p); }
+
     static I64
-    i64mulAcc(I64 acc, std::int32_t x, const std::int32_t *w)
+    i64mulAcc(I64 acc, std::int32_t x, I32Row w)
     {
-        return vmlal_s32(acc, vdup_n_s32(x), vld1_s32(w));
+        return vmlal_s32(acc, vdup_n_s32(x), w);
     }
 
     static void i64store(std::int64_t *p, I64 v) { vst1q_s64(p, v); }
@@ -400,7 +433,7 @@ gemmI64T(const std::int32_t *x, int red, int nblocks,
             auto a = B::i64zero();
             const std::int32_t *wr = wb + off;
             for (int k = 0; k < red; ++k, wr += PL)
-                a = B::i64mulAcc(a, x[k], wr);
+                a = B::i64mulAcc(a, x[k], B::i32row(wr));
             B::i64store(ab + off, a);
         }
     }
@@ -491,88 +524,6 @@ gemmNarrowSse2K(const std::int16_t *x, int redPairs, int nblocks,
     }
 }
 
-/** SSE2 narrow batched MAC over W%4==0 lane rows. */
-inline void
-batchMacNarrowSse2K(const std::int16_t *xg, const std::int16_t *w,
-                    std::size_t redPairs, std::size_t wstride,
-                    int chunkPairs, int W, std::int64_t *acc)
-{
-    for (int j = 0; j < W; j += 4) {
-        std::int64_t c64[4] = {};
-        std::size_t p = 0;
-        while (p < redPairs) {
-            const std::size_t end =
-                std::min(p + static_cast<std::size_t>(chunkPairs),
-                         redPairs);
-            __m128i c32 = _mm_setzero_si128();
-            for (; p < end; ++p) {
-                const __m128i wv =
-                    _mm_set1_epi32(loadPair32(w + p * wstride));
-                __m128i r0 = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(xg + 2 * p * W +
-                                                      j));
-                __m128i r1 = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(
-                        xg + (2 * p + 1) * W + j));
-                // Interleave the two k rows into per-lane pairs so
-                // pmaddwd forms x0*w0 + x1*w1 per lane.
-                __m128i pairs = _mm_unpacklo_epi16(r0, r1);
-                c32 = _mm_add_epi32(c32, _mm_madd_epi16(pairs, wv));
-            }
-            alignas(16) std::int32_t t[4];
-            _mm_store_si128(reinterpret_cast<__m128i *>(t), c32);
-            for (int l = 0; l < 4; ++l)
-                c64[l] += t[l];
-        }
-        for (int l = 0; l < 4; ++l)
-            acc[j + l] = c64[l];
-    }
-}
-
-#endif // FIDELITY_KIMPL_X86
-
-/** Exact scalar narrow batched MAC (any W up to kNarrowLanes). */
-inline void
-batchMacNarrowScalarK(const std::int16_t *xg, const std::int16_t *w,
-                      std::size_t redPairs, std::size_t wstride,
-                      int chunkPairs, int W, std::int64_t *acc)
-{
-    constexpr int kMaxW = kNarrowLanes;
-    std::int64_t c64[kMaxW] = {};
-    std::size_t p = 0;
-    while (p < redPairs) {
-        const std::size_t end = std::min(
-            p + static_cast<std::size_t>(chunkPairs), redPairs);
-        std::int32_t c32[kMaxW] = {};
-        for (; p < end; ++p) {
-            const std::int32_t w0 = w[p * wstride];
-            const std::int32_t w1 = w[p * wstride + 1];
-            const std::int16_t *r0 = xg + 2 * p * W;
-            for (int l = 0; l < W; ++l)
-                c32[l] += w0 * r0[l] + w1 * r0[W + l];
-        }
-        for (int l = 0; l < W; ++l)
-            c64[l] += c32[l];
-    }
-    for (int l = 0; l < W; ++l)
-        acc[l] = c64[l];
-}
-
-#if defined(FIDELITY_KIMPL_X86)
-
-/** SSE2 narrow batched entry: vector for W%4==0, scalar otherwise. */
-inline void
-batchMacNarrowSse2KAnyW(const std::int16_t *xg, const std::int16_t *w,
-                        std::size_t redPairs, std::size_t wstride,
-                        int chunkPairs, int W, std::int64_t *acc)
-{
-    if (W % 4 == 0)
-        return batchMacNarrowSse2K(xg, w, redPairs, wstride,
-                                   chunkPairs, W, acc);
-    batchMacNarrowScalarK(xg, w, redPairs, wstride, chunkPairs, W,
-                          acc);
-}
-
 #endif // FIDELITY_KIMPL_X86
 
 #if defined(FIDELITY_KIMPL_X86) && defined(__AVX2__)
@@ -614,110 +565,319 @@ gemmNarrowAvx2K(const std::int16_t *x, int redPairs, int nblocks,
     }
 }
 
-/** AVX2 narrow batched MAC for W==8; other widths use the SSE2 one. */
-inline void
-batchMacNarrowAvx2K(const std::int16_t *xg, const std::int16_t *w,
-                    std::size_t redPairs, std::size_t wstride,
-                    int chunkPairs, int W, std::int64_t *acc)
-{
-    if (W != 8)
-        return batchMacNarrowSse2KAnyW(xg, w, redPairs, wstride,
-                                       chunkPairs, W, acc);
-    __m256i lo64 = _mm256_setzero_si256();
-    __m256i hi64 = _mm256_setzero_si256();
-    std::size_t p = 0;
-    while (p < redPairs) {
-        const std::size_t end = std::min(
-            p + static_cast<std::size_t>(chunkPairs), redPairs);
-        __m256i c32 = _mm256_setzero_si256();
-        for (; p < end; ++p) {
-            const __m256i wv =
-                _mm256_set1_epi32(loadPair32(w + p * wstride));
-            __m128i r0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(xg + 2 * p * 8));
-            __m128i r1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(xg +
-                                                  (2 * p + 1) * 8));
-            __m128i plo = _mm_unpacklo_epi16(r0, r1); // lanes 0..3
-            __m128i phi = _mm_unpackhi_epi16(r0, r1); // lanes 4..7
-            __m256i pairs = _mm256_set_m128i(phi, plo);
-            c32 = _mm256_add_epi32(c32, _mm256_madd_epi16(pairs, wv));
-        }
-        lo64 = _mm256_add_epi64(
-            lo64, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(c32)));
-        hi64 = _mm256_add_epi64(
-            hi64,
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256(c32, 1)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc), lo64);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + 4), hi64);
-}
-
 #endif // AVX2
 
 // ---------------------------------------------------------------- //
 // Lane-minor batched MAC rows (fault-batched engine).               //
 // ---------------------------------------------------------------- //
 
+/** Weight columns one batched MAC call keeps in flight: independent
+ *  accumulator chains sharing each operand load.  The per-column
+ *  loops below carry `#pragma GCC unroll` with this count so the
+ *  chains live in registers at any optimisation level. */
+constexpr int kMacCols = 4;
+
+/**
+ * Call f(std::integral_constant<int, NC>{}, c0) over [0, ncols) in
+ * groups of at most kMacCols columns, so the kernels see the column
+ * count as a compile-time constant and keep each chain in a register.
+ */
+template <class F>
+inline void
+forColGroups(int ncols, F f)
+{
+    int c = 0;
+    for (; c + kMacCols <= ncols; c += kMacCols)
+        f(std::integral_constant<int, kMacCols>{}, c);
+    switch (ncols - c) {
+      case 3:
+        f(std::integral_constant<int, 3>{}, c);
+        break;
+      case 2:
+        f(std::integral_constant<int, 2>{}, c);
+        break;
+      case 1:
+        f(std::integral_constant<int, 1>{}, c);
+        break;
+    }
+}
+
+/** One-lane scalar backend: the remainder path for lane counts no
+ *  vector slice divides. */
+using Scalar1 = ScalarBackendT<1, 1>;
+
+/** NC columns of the L-lane slice at j: NC independent chains, each
+ *  in canonical k order, over one operand load per k. */
+template <class B, int NC>
+inline void
+batchMacF32Cols(const float *xg, const float *w, std::size_t red,
+                std::size_t wstride, int W, int j, float *acc)
+{
+    typename B::F32 a[NC];
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c)
+        a[c] = B::f32zero();
+    for (std::size_t k = 0; k < red; ++k) {
+        const auto x = B::f32load(xg + k * W + j);
+        const float *wk = w + k * wstride;
+        #pragma GCC unroll 4
+        for (int c = 0; c < NC; ++c)
+            a[c] = B::f32mulAcc(a[c], x, B::f32broadcast(wk[c]));
+    }
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c)
+        B::f32store(acc + c * W + j, a[c]);
+}
+
 template <class B>
 void
 batchMacF32W(const float *xg, const float *w, std::size_t red,
-             std::size_t wstride, int W, float *acc)
+             std::size_t wstride, int W, int ncols, float *acc)
 {
-    constexpr int L = B::kF32W;
-    for (int j = 0; j < W; j += L) {
-        auto a = B::f32zero();
-        for (std::size_t k = 0; k < red; ++k)
-            a = B::f32mulAcc(a, B::f32load(xg + k * W + j),
-                             B::f32broadcast(w[k * wstride]));
-        B::f32store(acc + j, a);
-    }
+    forColGroups(ncols, [&](auto nc, int c0) {
+        for (int j = 0; j < W; j += B::kF32W)
+            batchMacF32Cols<B, decltype(nc)::value>(
+                xg, w + c0, red, wstride, W, j, acc + c0 * W);
+    });
 }
 
 /** Full-width backend when W divides, half-width else, scalar last. */
 template <class B, class BH>
 void
 batchMacF32T(const float *xg, const float *w, std::size_t red,
-             std::size_t wstride, int W, float *acc)
+             std::size_t wstride, int W, int ncols, float *acc)
 {
     if (W % B::kF32W == 0)
-        return batchMacF32W<B>(xg, w, red, wstride, W, acc);
+        return batchMacF32W<B>(xg, w, red, wstride, W, ncols, acc);
     if (W % BH::kF32W == 0)
-        return batchMacF32W<BH>(xg, w, red, wstride, W, acc);
-    for (int l = 0; l < W; ++l) {
-        float a = 0.0f;
-        for (std::size_t k = 0; k < red; ++k) {
-            float prod = xg[k * W + l] * w[k * wstride];
-            a += prod;
-        }
-        acc[l] = a;
+        return batchMacF32W<BH>(xg, w, red, wstride, W, ncols, acc);
+    batchMacF32W<Scalar1>(xg, w, red, wstride, W, ncols, acc);
+}
+
+/** Wide-int twin of batchMacF32Cols (exact integer chains). */
+template <class B, int NC>
+inline void
+batchMacI64Cols(const std::int32_t *xg, const std::int32_t *w,
+                std::size_t red, std::size_t wstride, int W, int j,
+                std::int64_t *acc)
+{
+    typename B::I64 a[NC];
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c)
+        a[c] = B::i64zero();
+    for (std::size_t k = 0; k < red; ++k) {
+        const auto x = B::i32row(xg + k * W + j);
+        const std::int32_t *wk = w + k * wstride;
+        #pragma GCC unroll 4
+        for (int c = 0; c < NC; ++c)
+            a[c] = B::i64mulAcc(a[c], wk[c], x);
     }
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c)
+        B::i64store(acc + c * W + j, a[c]);
+}
+
+template <class B>
+void
+batchMacI64W(const std::int32_t *xg, const std::int32_t *w,
+             std::size_t red, std::size_t wstride, int W, int ncols,
+             std::int64_t *acc)
+{
+    forColGroups(ncols, [&](auto nc, int c0) {
+        for (int j = 0; j < W; j += B::kI64W)
+            batchMacI64Cols<B, decltype(nc)::value>(
+                xg, w + c0, red, wstride, W, j, acc + c0 * W);
+    });
 }
 
 template <class B>
 void
 batchMacI64T(const std::int32_t *xg, const std::int32_t *w,
-             std::size_t red, std::size_t wstride, int W,
+             std::size_t red, std::size_t wstride, int W, int ncols,
              std::int64_t *acc)
 {
-    constexpr int L = B::kI64W;
-    if (W % L == 0) {
-        for (int j = 0; j < W; j += L) {
-            auto a = B::i64zero();
-            for (std::size_t k = 0; k < red; ++k)
-                a = B::i64mulAcc(a, w[k * wstride], xg + k * W + j);
-            B::i64store(acc + j, a);
+    if (W % B::kI64W == 0)
+        return batchMacI64W<B>(xg, w, red, wstride, W, ncols, acc);
+    batchMacI64W<Scalar1>(xg, w, red, wstride, W, ncols, acc);
+}
+
+/**
+ * Exact scalar narrow batched MAC (any W up to kNarrowLanes), the
+ * reference twin: one column at a time, column c's weight pairs at
+ * w[2c + p*wstride].  Pair-sums accumulate in int32 for at most
+ * chunkPairs pairs, then spill.
+ */
+inline void
+batchMacNarrowScalarK(const std::int16_t *xg, const std::int16_t *w,
+                      std::size_t redPairs, std::size_t wstride,
+                      int chunkPairs, int W, int ncols,
+                      std::int64_t *acc)
+{
+    constexpr int kMaxW = kNarrowLanes;
+    for (int c = 0; c < ncols; ++c) {
+        const std::int16_t *wc = w + 2 * c;
+        std::int64_t c64[kMaxW] = {};
+        std::size_t p = 0;
+        while (p < redPairs) {
+            const std::size_t end = std::min(
+                p + static_cast<std::size_t>(chunkPairs), redPairs);
+            std::int32_t c32[kMaxW] = {};
+            for (; p < end; ++p) {
+                const std::int32_t w0 = wc[p * wstride];
+                const std::int32_t w1 = wc[p * wstride + 1];
+                const std::int16_t *r0 = xg + 2 * p * W;
+                for (int l = 0; l < W; ++l)
+                    c32[l] += w0 * r0[l] + w1 * r0[W + l];
+            }
+            for (int l = 0; l < W; ++l)
+                c64[l] += c32[l];
         }
-        return;
-    }
-    for (int l = 0; l < W; ++l) {
-        std::int64_t a = 0;
-        for (std::size_t k = 0; k < red; ++k)
-            a += static_cast<std::int64_t>(w[k * wstride]) *
-                 static_cast<std::int64_t>(xg[k * W + l]);
-        acc[l] = a;
+        for (int l = 0; l < W; ++l)
+            acc[c * W + l] = c64[l];
     }
 }
+
+#if defined(FIDELITY_KIMPL_X86)
+
+/** SSE2 narrow batched MAC, NC columns of the 4-lane slice at j: the
+ *  two k rows interleave into lane pairs once per pair step. */
+template <int NC>
+inline void
+batchMacNarrowSse2Cols(const std::int16_t *xg, const std::int16_t *w,
+                       std::size_t redPairs, std::size_t wstride,
+                       int chunkPairs, int W, int j, std::int64_t *acc)
+{
+    std::int64_t c64[NC][4] = {};
+    std::size_t p = 0;
+    while (p < redPairs) {
+        const std::size_t end = std::min(
+            p + static_cast<std::size_t>(chunkPairs), redPairs);
+        __m128i c32[NC];
+        #pragma GCC unroll 4
+        for (int c = 0; c < NC; ++c)
+            c32[c] = _mm_setzero_si128();
+        for (; p < end; ++p) {
+            __m128i r0 = _mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(xg + 2 * p * W + j));
+            __m128i r1 = _mm_loadl_epi64(reinterpret_cast<const __m128i *>(
+                xg + (2 * p + 1) * W + j));
+            // Interleave the two k rows into per-lane pairs so
+            // pmaddwd forms x0*w0 + x1*w1 per lane.
+            const __m128i pairs = _mm_unpacklo_epi16(r0, r1);
+            const std::int16_t *wp = w + p * wstride;
+            #pragma GCC unroll 4
+            for (int c = 0; c < NC; ++c)
+                c32[c] = _mm_add_epi32(
+                    c32[c],
+                    _mm_madd_epi16(pairs,
+                                   _mm_set1_epi32(loadPair32(wp + 2 * c))));
+        }
+        #pragma GCC unroll 4
+        for (int c = 0; c < NC; ++c) {
+            alignas(16) std::int32_t t[4];
+            _mm_store_si128(reinterpret_cast<__m128i *>(t), c32[c]);
+            for (int l = 0; l < 4; ++l)
+                c64[c][l] += t[l];
+        }
+    }
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c)
+        for (int l = 0; l < 4; ++l)
+            acc[c * W + j + l] = c64[c][l];
+}
+
+/** SSE2 narrow batched entry: vector for W%4==0, scalar otherwise. */
+inline void
+batchMacNarrowSse2K(const std::int16_t *xg, const std::int16_t *w,
+                    std::size_t redPairs, std::size_t wstride,
+                    int chunkPairs, int W, int ncols, std::int64_t *acc)
+{
+    if (W % 4 != 0)
+        return batchMacNarrowScalarK(xg, w, redPairs, wstride,
+                                     chunkPairs, W, ncols, acc);
+    forColGroups(ncols, [&](auto nc, int c0) {
+        for (int j = 0; j < W; j += 4)
+            batchMacNarrowSse2Cols<decltype(nc)::value>(
+                xg, w + 2 * c0, redPairs, wstride, chunkPairs, W, j,
+                acc + c0 * W);
+    });
+}
+
+#endif // FIDELITY_KIMPL_X86
+
+#if defined(FIDELITY_KIMPL_X86) && defined(__AVX2__)
+
+/** AVX2 narrow batched MAC, W == 8, NC columns: the r0/r1 rows unpack
+ *  into one 8-lane pair vector per pair step, shared by every column. */
+template <int NC>
+inline void
+batchMacNarrowAvx2Cols(const std::int16_t *xg, const std::int16_t *w,
+                       std::size_t redPairs, std::size_t wstride,
+                       int chunkPairs, std::int64_t *acc)
+{
+    __m256i lo64[NC], hi64[NC];
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c)
+        lo64[c] = hi64[c] = _mm256_setzero_si256();
+    std::size_t p = 0;
+    while (p < redPairs) {
+        const std::size_t end = std::min(
+            p + static_cast<std::size_t>(chunkPairs), redPairs);
+        __m256i c32[NC];
+        #pragma GCC unroll 4
+        for (int c = 0; c < NC; ++c)
+            c32[c] = _mm256_setzero_si256();
+        for (; p < end; ++p) {
+            __m128i r0 = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(xg + 2 * p * 8));
+            __m128i r1 = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(xg + (2 * p + 1) * 8));
+            __m128i plo = _mm_unpacklo_epi16(r0, r1); // lanes 0..3
+            __m128i phi = _mm_unpackhi_epi16(r0, r1); // lanes 4..7
+            const __m256i pairs = _mm256_set_m128i(phi, plo);
+            const std::int16_t *wp = w + p * wstride;
+            #pragma GCC unroll 4
+            for (int c = 0; c < NC; ++c)
+                c32[c] = _mm256_add_epi32(
+                    c32[c],
+                    _mm256_madd_epi16(
+                        pairs, _mm256_set1_epi32(loadPair32(wp + 2 * c))));
+        }
+        #pragma GCC unroll 4
+        for (int c = 0; c < NC; ++c) {
+            lo64[c] = _mm256_add_epi64(
+                lo64[c],
+                _mm256_cvtepi32_epi64(_mm256_castsi256_si128(c32[c])));
+            hi64[c] = _mm256_add_epi64(
+                hi64[c],
+                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(c32[c], 1)));
+        }
+    }
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + c * 8),
+                            lo64[c]);
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(acc + c * 8 + 4), hi64[c]);
+    }
+}
+
+/** AVX2 narrow batched entry: W == 8 here, other widths on SSE2. */
+inline void
+batchMacNarrowAvx2K(const std::int16_t *xg, const std::int16_t *w,
+                    std::size_t redPairs, std::size_t wstride,
+                    int chunkPairs, int W, int ncols, std::int64_t *acc)
+{
+    if (W != 8)
+        return batchMacNarrowSse2K(xg, w, redPairs, wstride, chunkPairs,
+                                   W, ncols, acc);
+    forColGroups(ncols, [&](auto nc, int c0) {
+        batchMacNarrowAvx2Cols<decltype(nc)::value>(
+            xg, w + 2 * c0, redPairs, wstride, chunkPairs, acc + c0 * 8);
+    });
+}
+
+#endif // AVX2
 
 // ---------------------------------------------------------------- //
 // Streaming elementwise maps.                                       //

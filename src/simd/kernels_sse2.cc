@@ -24,7 +24,7 @@ kernelTableSse2()
         &gemmNarrowSse2K,
         &batchMacF32T<Sse2Backend, Sse2Backend>,
         &batchMacI64T<Scalar4>,
-        &batchMacNarrowSse2KAnyW,
+        &batchMacNarrowSse2K,
         &addF32T<Sse2Backend>,
         &subF32T<Sse2Backend>,
         &mulF32T<Sse2Backend>,

@@ -78,7 +78,7 @@ inline constexpr int kNarrowMinChunk = 8;
  *
  * GEMM kernels *overwrite* `acc` with the full padded lane results
  * ([nblocks][L]); callers read back the real columns.  Batched MAC
- * kernels likewise overwrite `acc[0..W)`.
+ * kernels likewise overwrite `acc[0..ncols*W)`.
  */
 struct KernelTable
 {
@@ -116,28 +116,37 @@ struct KernelTable
                        std::int64_t *acc);
 
     /**
-     * Lane-minor batched MAC row (fault-batched engine):
-     * acc[l] = sum_k xg[k*W + l] * w[k*wstride] for l in [0, W), in
-     * canonical k order with unfused per-lane multiply-adds.
+     * Lane-minor batched MAC rows (fault-batched engine), `ncols`
+     * weight columns per call:
+     * acc[c*W + l] = sum_k xg[k*W + l] * w[c + k*wstride] for c in
+     * [0, ncols), l in [0, W).  Column c + 1 is the adjacent lane of
+     * the pack block.  Every lane accumulates in canonical k order
+     * with unfused multiply-adds; up to four columns run as
+     * independent accumulator chains over one operand load per k.
      */
     void (*batchMacF32)(const float *xg, const float *w, std::size_t red,
-                        std::size_t wstride, int W, float *acc);
+                        std::size_t wstride, int W, int ncols,
+                        float *acc);
 
-    /** Wide-int batched twin: acc[l] += (int64)w[k*wstride] * xg[k*W+l]. */
+    /** Wide-int batched twin:
+     *  acc[c*W + l] = sum_k (int64)w[c + k*wstride] * xg[k*W + l]. */
     void (*batchMacI64)(const std::int32_t *xg, const std::int32_t *w,
                         std::size_t red, std::size_t wstride, int W,
-                        std::int64_t *acc);
+                        int ncols, std::int64_t *acc);
 
     /**
      * Narrow batched MAC: operands are int16 lane rows (xg must hold
      * 2*redPairs rows of W lanes; the caller zero-pads the last row
-     * when the reduction is odd), weights are pairs read from the
-     * narrow pack at w[p*wstride], w[p*wstride + 1].  Same chunked
-     * int32 accumulation contract as gemmNarrow.
+     * when the reduction is odd), column c's weights are the pair
+     * w[2c + p*wstride], w[2c + p*wstride + 1] of the narrow pack
+     * (the adjacent int16 pair is the next column).  Results land at
+     * acc[c*W + l]; same chunked int32 accumulation contract as
+     * gemmNarrow.
      */
     void (*batchMacNarrow)(const std::int16_t *xg, const std::int16_t *w,
                            std::size_t redPairs, std::size_t wstride,
-                           int chunkPairs, int W, std::int64_t *acc);
+                           int chunkPairs, int W, int ncols,
+                           std::int64_t *acc);
 
     // Streaming elementwise maps (whole range, scalar tail inside).
     void (*addF32)(const float *a, const float *b, float *o, std::size_t n);

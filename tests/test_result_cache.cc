@@ -169,6 +169,52 @@ TEST(ResultCache, CapacityRoundingAndFloor)
               (2u << 20) / ResultCache::kEntryBytes);
 }
 
+TEST(ResultCache, FreshLargeTableMissesAtBothEnds)
+{
+    // The entry words of a large table are zero-filled lazily, so its
+    // first and last clusters must read as empty on first touch, and
+    // stay writable.  64 MiB: 65536 clusters per shard.
+    constexpr std::size_t kBytes = std::size_t{64} << 20;
+    ResultCache cache(kBytes);
+    ASSERT_EQ(cache.capacityBytes(), kBytes);
+    const std::uint64_t clusters =
+        cache.entryCount() /
+        (ResultCache::kShards * ResultCache::kClusterEntries);
+    auto clusterOf = [&](std::uint64_t fp, std::uint64_t &shard) {
+        const std::uint64_t mixed = mirrorMixIndex(fp);
+        shard = mixed & (ResultCache::kShards - 1);
+        return (mixed / ResultCache::kShards) & (clusters - 1);
+    };
+    std::uint64_t first = 0, last = 0;
+    bool haveFirst = false, haveLast = false;
+    for (std::uint64_t fp = 1; !(haveFirst && haveLast); ++fp) {
+        std::uint64_t shard = 0;
+        const std::uint64_t idx = clusterOf(fp, shard);
+        if (!haveFirst && shard == 0 && idx == 0) {
+            first = fp;
+            haveFirst = true;
+        }
+        if (!haveLast && shard == ResultCache::kShards - 1 &&
+            idx == clusters - 1) {
+            last = fp;
+            haveLast = true;
+        }
+    }
+    CachedOutcome out;
+    EXPECT_FALSE(cache.probe(first, out));
+    EXPECT_FALSE(cache.probe(last, out));
+    cache.store(first, parityOutcome(first));
+    cache.store(last, parityOutcome(last));
+    ASSERT_TRUE(cache.probe(first, out));
+    EXPECT_EQ(out.masked, parityOutcome(first).masked);
+    ASSERT_TRUE(cache.probe(last, out));
+    EXPECT_EQ(out.earlyExit, parityOutcome(last).earlyExit);
+    const ResultCacheStats s = cache.stats();
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.hits, 2u);
+    EXPECT_EQ(s.evictions, 0u);
+}
+
 TEST(ResultCache, AdversarialSameClusterKeys)
 {
     // Six keys deliberately crafted to collide into one 4-entry

@@ -14,7 +14,9 @@
  * AVX2 within one binary).  The narrow integer kernels additionally
  * get direct differential coverage: odd-reduction pair padding, the
  * statically proven int32 chunk bound at its exact overflow edge, and
- * chunk-length invariance of the spilled int64 result.
+ * chunk-length invariance of the spilled int64 result.  The batched
+ * MAC rows' multi-column entries are compared under every backend
+ * against single-column scalar references, bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -839,10 +841,232 @@ TEST(SimdNarrow, BatchMacNarrowMatchesReference)
                     std::vector<std::int64_t> acc(W, -777);
                     simd::table().batchMacNarrow(xg.data(), wv.data(),
                                                  redPairs, 2, chunk, W,
-                                                 acc.data());
+                                                 1, acc.data());
                     EXPECT_EQ(acc, ref)
                         << "backend " << n << " red " << red << " W "
                         << W << " chunk " << chunk;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Operand pool for the multi-column batched MAC differential tests:
+ * the FP16 edge values (±Inf, ±0, subnormals, the largest finite
+ * half) plus NaN.  The NaN is the one the FPU itself generates (for
+ * Inf * 0), so every NaN in a run carries the same bits whichever
+ * operand an instruction propagates.
+ */
+float
+batchMacOperand(Rng &rng)
+{
+    volatile float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {inf,
+                              -inf,
+                              inf * 0.0f,
+                              0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::denorm_min(),
+                              -1e-40f,
+                              5.96e-8f,
+                              65504.0f,
+                              -65504.0f};
+    constexpr std::uint32_t kN = sizeof(specials) / sizeof(specials[0]);
+    if (rng.below(4) == 0)
+        return specials[rng.below(kN)];
+    return static_cast<float>(rng.normal(0, 1));
+}
+
+/** Lane widths, column counts and reductions the multi-column batched
+ *  MAC tests sweep: every W the dispatch splits differently, column
+ *  counts across two full kMacCols groups plus a remainder. */
+constexpr int kBatchWs[] = {1, 2, 3, 4, 5, 8};
+constexpr int kBatchReds[] = {1, 6, 19};
+
+TEST(SimdBatchMac, F32ColumnsMatchSingleColumnScalarReference)
+{
+    SimdToggle toggle;
+    simd::setEnabled(true);
+    BackendForce guard;
+    Rng rng(1401);
+    for (int red : kBatchReds) {
+        for (int W : kBatchWs) {
+            for (std::size_t wstride :
+                 {std::size_t{1}, std::size_t{simd::kF32Lanes}}) {
+                for (int ncols = 1; ncols <= 9; ++ncols) {
+                    std::vector<float> xg(static_cast<std::size_t>(red) *
+                                          W);
+                    std::vector<float> w(ncols + red * wstride);
+                    for (float &v : xg)
+                        v = batchMacOperand(rng);
+                    for (float &v : w)
+                        v = batchMacOperand(rng);
+                    // One column, one lane, canonical k order, unfused.
+                    std::vector<float> ref(
+                        static_cast<std::size_t>(ncols) * W);
+                    for (int c = 0; c < ncols; ++c)
+                        for (int l = 0; l < W; ++l) {
+                            float a = 0.0f;
+                            for (int k = 0; k < red; ++k) {
+                                float prod = xg[k * W + l] *
+                                             w[c + k * wstride];
+                                a += prod;
+                            }
+                            ref[c * W + l] = a;
+                        }
+                    for (const char *n : availableBackends()) {
+                        ASSERT_TRUE(simd::forceBackend(n));
+                        std::vector<float> acc(ref.size(), -777.0f);
+                        simd::table().batchMacF32(xg.data(), w.data(), red,
+                                                  wstride, W, ncols,
+                                                  acc.data());
+                        for (std::size_t i = 0; i < ref.size(); ++i)
+                            ASSERT_EQ(std::bit_cast<std::uint32_t>(acc[i]),
+                                      std::bit_cast<std::uint32_t>(ref[i]))
+                                << "backend " << n << " red " << red
+                                << " W " << W << " wstride " << wstride
+                                << " ncols " << ncols << " at " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdBatchMac, I64ColumnsMatchSingleColumnReference)
+{
+    SimdToggle toggle;
+    simd::setEnabled(true);
+    BackendForce guard;
+    Rng rng(1402);
+    // INT16 stored-form extremes plus random quantised values.
+    auto operand = [&rng] {
+        const std::int32_t edges[] = {-32768, 32767, -32767, 0, 1, -1};
+        if (rng.below(3) == 0)
+            return edges[rng.below(6)];
+        return static_cast<std::int32_t>(rng.below(65536)) - 32768;
+    };
+    for (int red : kBatchReds) {
+        for (int W : kBatchWs) {
+            for (std::size_t wstride :
+                 {std::size_t{1}, std::size_t{simd::kI64Lanes}}) {
+                for (int ncols = 1; ncols <= 9; ++ncols) {
+                    std::vector<std::int32_t> xg(
+                        static_cast<std::size_t>(red) * W);
+                    std::vector<std::int32_t> w(ncols + red * wstride);
+                    for (auto &v : xg)
+                        v = operand();
+                    for (auto &v : w)
+                        v = operand();
+                    std::vector<std::int64_t> ref(
+                        static_cast<std::size_t>(ncols) * W);
+                    for (int c = 0; c < ncols; ++c)
+                        for (int l = 0; l < W; ++l) {
+                            std::int64_t a = 0;
+                            for (int k = 0; k < red; ++k)
+                                a += static_cast<std::int64_t>(
+                                         w[c + k * wstride]) *
+                                     xg[k * W + l];
+                            ref[c * W + l] = a;
+                        }
+                    for (const char *n : availableBackends()) {
+                        ASSERT_TRUE(simd::forceBackend(n));
+                        std::vector<std::int64_t> acc(ref.size(), -777);
+                        simd::table().batchMacI64(xg.data(), w.data(), red,
+                                                  wstride, W, ncols,
+                                                  acc.data());
+                        ASSERT_EQ(acc, ref)
+                            << "backend " << n << " red " << red << " W "
+                            << W << " wstride " << wstride << " ncols "
+                            << ncols;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdBatchMac, NarrowColumnsExactAtChunkBound)
+{
+    SimdToggle toggle;
+    simd::setEnabled(true);
+    BackendForce guard;
+    Rng rng(1403);
+    // (bits, max |w|): a one-pair chunk at the int16 edge, a 7-pair
+    // chunk whose all-extreme sum lands within 2^28 of INT32_MAX, and
+    // the INT8 production case.
+    struct Bound
+    {
+        int bits;
+        std::int32_t maxAbsW;
+    };
+    for (const Bound &bd : {Bound{16, 32767}, Bound{16, 4096},
+                            Bound{8, 127}}) {
+        const int chunk = simd::narrowChunkPairs(bd.bits, bd.maxAbsW);
+        ASSERT_TRUE(chunk > 0);
+        const std::int32_t xMin = -(1 << (bd.bits - 1));
+        const std::int32_t xMax = (1 << (bd.bits - 1)) - 1;
+        // Mostly extremes of matching sign, so chunk sums run at the
+        // proven bound; some random values in between.
+        auto xval = [&] {
+            return rng.below(4) != 0
+                       ? xMin
+                       : xMin + static_cast<std::int32_t>(
+                                    rng.below(xMax - xMin + 1));
+        };
+        auto wval = [&] {
+            return rng.below(4) != 0
+                       ? -bd.maxAbsW
+                       : static_cast<std::int32_t>(
+                             rng.below(2 * bd.maxAbsW + 1)) -
+                             bd.maxAbsW;
+        };
+        for (int red : kBatchReds) {
+            const int redPairs = simd::packPairs(red);
+            for (int W : kBatchWs) {
+                for (std::size_t wstride :
+                     {std::size_t{1},
+                      std::size_t{2 * simd::kNarrowLanes}}) {
+                    for (int ncols = 1; ncols <= 9; ++ncols) {
+                        // 2*redPairs lane rows, the odd pad row zero.
+                        std::vector<std::int16_t> xg(
+                            static_cast<std::size_t>(2 * redPairs) * W, 0);
+                        for (int k = 0; k < red; ++k)
+                            for (int l = 0; l < W; ++l)
+                                xg[k * W + l] =
+                                    static_cast<std::int16_t>(xval());
+                        std::vector<std::int16_t> w(
+                            2 * ncols + redPairs * wstride + 1);
+                        for (auto &v : w)
+                            v = static_cast<std::int16_t>(wval());
+                        std::vector<std::int64_t> ref(
+                            static_cast<std::size_t>(ncols) * W);
+                        for (int c = 0; c < ncols; ++c)
+                            for (int l = 0; l < W; ++l) {
+                                std::int64_t a = 0;
+                                for (int p = 0; p < redPairs; ++p)
+                                    for (int j = 0; j < 2; ++j)
+                                        a += static_cast<std::int64_t>(
+                                                 w[2 * c + p * wstride +
+                                                   j]) *
+                                             xg[(2 * p + j) * W + l];
+                                ref[c * W + l] = a;
+                            }
+                        for (const char *n : availableBackends()) {
+                            ASSERT_TRUE(simd::forceBackend(n));
+                            std::vector<std::int64_t> acc(ref.size(),
+                                                          -777);
+                            simd::table().batchMacNarrow(
+                                xg.data(), w.data(), redPairs, wstride,
+                                chunk, W, ncols, acc.data());
+                            ASSERT_EQ(acc, ref)
+                                << "backend " << n << " bits " << bd.bits
+                                << " red " << red << " W " << W
+                                << " wstride " << wstride << " ncols "
+                                << ncols;
+                        }
+                    }
                 }
             }
         }
