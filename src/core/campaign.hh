@@ -141,9 +141,14 @@ struct CampaignConfig
     /** Probe/store the fault-site memo table in the injection path. */
     bool resultCacheEnabled = true;
 
-    /** Capacity of a campaign-private table in MiB (used when
-     *  resultCache below is null).  Must be > 0 when enabled. */
-    int resultCacheMB = 64;
+    /**
+     * Capacity of a campaign-private table in MiB (used when
+     * resultCache below is null).  Must be > 0 when enabled.  1 MiB is
+     * 65,536 entries, several times the survivors of a large campaign;
+     * every store first-touches a fresh page of the table, so a bigger
+     * default only adds page faults.
+     */
+    int resultCacheMB = 1;
 
     /**
      * Optional externally owned table shared across campaigns (the

@@ -46,11 +46,10 @@ class BatchedEngineT final : public BatchedEngine
     void resetTotals() override { totals_ = BatchedTotals{}; }
 
   private:
-    void fallbackLanes(const Layer &layer, const Tensor &golden,
-                       const std::vector<NodeId> &prods, NodeId id,
-                       std::uint32_t coneMask, bool dense,
-                       const Region &region,
-                       const std::array<Region, BMAX> &cones);
+    std::uint64_t fallbackLanes(const Layer &layer, const Tensor &golden,
+                                const std::vector<NodeId> &prods,
+                                NodeId id, std::uint32_t coneMask,
+                                std::array<Region, BMAX> &cones);
 
     IncrementalOptions opt_;
     BatchedTotals totals_;
@@ -231,10 +230,6 @@ BatchedEngineT<BMAX>::execute()
                                       static_cast<double>(golden.size());
         }
         Region region = dense ? Region::full(golden) : unionBox;
-        if (dense)
-            for (int l = 0; l < BMAX; ++l)
-                if ((coneMask >> l) & 1u)
-                    cones[l] = region;
         const BatchCover *cover = dense ? nullptr : &cover_;
 
         LanePlane &plane = planes_[id];
@@ -242,18 +237,23 @@ BatchedEngineT<BMAX>::execute()
         if (layer.forwardRegionBatched(ins_, inPlanes_.data(), region,
                                        cover, golden, plane)) {
             ++totals_.layersBatchedKernel;
+            if (dense)
+                for (int l = 0; l < BMAX; ++l)
+                    if ((coneMask >> l) & 1u)
+                        cones[l] = region;
+            const std::uint64_t cells =
+                cover ? cover_.coveredCells() *
+                            static_cast<std::uint64_t>(
+                                cover_.coveredChans())
+                      : region.volume();
+            totals_.laneElements +=
+                cells * static_cast<std::uint64_t>(
+                            std::popcount(coneMask));
         } else {
-            fallbackLanes(layer, golden, prods, id, coneMask, dense,
-                          region, cones);
+            totals_.laneElements +=
+                fallbackLanes(layer, golden, prods, id, coneMask, cones);
             ++totals_.layersLaneFallback;
         }
-        const std::uint64_t cells =
-            cover ? cover_.coveredCells() *
-                        static_cast<std::uint64_t>(cover_.coveredChans())
-                  : region.volume();
-        totals_.laneElements += cells *
-                                static_cast<std::uint64_t>(
-                                    std::popcount(coneMask));
 
         if (opt_.earlyExit) {
             // Shrink every live lane to the box that actually changed.
@@ -340,24 +340,29 @@ BatchedEngineT<BMAX>::execute()
 }
 
 /**
- * Per-lane fallback for layers without a batched kernel (FC / matmul /
- * softmax — small, post-pooling tensors): materialise each live lane's
- * inputs as plain tensors, run the scalar forwardRegion, and scatter
- * the result back into the output plane's lane column.
+ * Per-lane fallback for layers without a batched kernel (MatMulAB):
+ * materialise each live lane's inputs as plain tensors, run the scalar
+ * forwardRegion, and scatter the result back into the output plane's
+ * lane column.  Each lane runs alone, so each decides dense vs cone
+ * from its own cone, exactly as the scalar engine would — not from
+ * the batch union, which scattered one-row cones push past the dense
+ * threshold long before any single lane gets there.  A lane that goes
+ * dense gets the full box in `cones`.  Returns the elements
+ * recomputed, summed over lanes.
  */
 template <int BMAX>
-void
+std::uint64_t
 BatchedEngineT<BMAX>::fallbackLanes(const Layer &layer,
                                     const Tensor &golden,
                                     const std::vector<NodeId> &prods,
                                     NodeId id, std::uint32_t coneMask,
-                                    bool dense, const Region &region,
-                                    const std::array<Region, BMAX> &cones)
+                                    std::array<Region, BMAX> &cones)
 {
     const std::vector<Tensor> &cached = *cached_;
     if (fbIn_.size() < prods.size())
         fbIn_.resize(prods.size());
 
+    std::uint64_t elements = 0;
     for (int l = 0; l < BMAX; ++l) {
         if (!((coneMask >> l) & 1u))
             continue;
@@ -385,13 +390,22 @@ BatchedEngineT<BMAX>::fallbackLanes(const Layer &layer,
             insLane_.push_back(&buf);
         }
 
-        const Region &sc = dense ? region : cones[l];
+        // The union's dense decision covers every lane's cone (a lane
+        // past the threshold pushes the union past it too), so the
+        // output plane is already valid wherever this lane writes.
+        Region &sc = cones[l];
+        const bool dense =
+            !opt_.enabled || sc.covers(golden) ||
+            static_cast<double>(sc.volume()) >=
+                opt_.denseThreshold * static_cast<double>(golden.size());
         if (dense) {
+            sc = Region::full(golden);
             fbOut_ = layer.forward(insLane_);
         } else {
             fbOut_ = golden; // capacity-reusing copy; patch the cone
             layer.forwardRegion(insLane_, sc, fbOut_);
         }
+        elements += sc.volume();
 
         LanePlane &plane = planes_[id];
         const float *od = fbOut_.data().data();
@@ -405,6 +419,7 @@ BatchedEngineT<BMAX>::fallbackLanes(const Layer &layer,
             }
         }
     }
+    return elements;
 }
 
 template <int BMAX>

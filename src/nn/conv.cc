@@ -1182,7 +1182,7 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
     }
 
     auto biasAt = [&](int oc) {
-        return spec_.bias ? bias_[oc] : 0.0f;
+        return spec_.bias ? bias_.data() + oc : nullptr;
     };
 
     const simd::KernelTable &kt = simd::table();
@@ -1191,28 +1191,9 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
         const std::int32_t zero_q = quantInput(0.0f);
         // Accumulators of one pack-block run (at most kNarrowLanes
         // channels, the wider of the two integer pack widths).
-        constexpr int kRunMax = simd::kNarrowLanes * W;
-        std::int64_t acc[kRunMax];
+        std::int64_t acc[simd::kNarrowLanes * W];
         auto wb = [&](int oc, int nc, float *op) {
-            // Left-associated like computeNeuron: the double rounding
-            // order is part of the bit contract.  Splitting writeback
-            // into real-value, batch-quantise, dequantise steps keeps
-            // each lane's arithmetic exactly the scalar sequence.
-            float real[kRunMax];
-            std::int32_t q[kRunMax];
-            int c = 0;
-            do { // a run holds at least one channel
-                const float b = biasAt(oc + c);
-                for (int l = 0; l < W; ++l)
-                    real[c * W + l] =
-                        static_cast<float>(
-                            static_cast<double>(acc[c * W + l]) *
-                            inQuant_.scale * wQuant_.scale) +
-                        b;
-            } while (++c < nc);
-            simd::quantizeBatch(real, q, nc * W, outQuant_);
-            for (int i = 0; i < nc * W; ++i)
-                op[i] = dequantize(q[i], outQuant_);
+            writebackRun(acc, nc, W, biasAt(oc), op);
         };
         if (narrow) {
             auto loadG = [&](std::int16_t *dst, std::size_t stride,
@@ -1295,7 +1276,6 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
             for (int i = 0; i < count; ++i, dst += stride, s += W)
                 std::memcpy(dst, s, W * sizeof(float));
         };
-        const bool half = precision_ == Precision::FP16;
         constexpr int PL = simd::kF32Lanes;
         const std::size_t blkStride = static_cast<std::size_t>(redLen) * PL;
         const std::size_t gStride = simd::packBlocks(opg, PL) * blkStride;
@@ -1303,21 +1283,14 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
             spec_, cpg, opg, region, cover, x, golden, xgF.data(), loadG,
             [&](int g, int oc, int ocg, int nc, std::size_t flat) {
                 // The kernel writes the accumulators straight into the
-                // run's lane rows; writeback(acc, bias) then adds bias
-                // in place and rounds all nc rows as one batch
-                // (identical per element).
+                // run's lane rows; writebackRun then adds bias in place
+                // and rounds all nc rows as one batch.
                 float *op = out.lanes(flat);
                 kt.batchMacF32(xgF.data(),
                                wPackF_.data() + g * gStride +
                                    (ocg / PL) * blkStride + ocg % PL,
                                redLen, PL, W, nc, op);
-                for (int c = 0; c < nc; ++c) {
-                    const float b = biasAt(oc + c);
-                    for (int l = 0; l < W; ++l)
-                        op[c * W + l] += b;
-                }
-                if (half)
-                    simd::roundToHalfBatch(op, op, nc * W);
+                writebackRun(op, nc, W, biasAt(oc));
             });
     }
 }

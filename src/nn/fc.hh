@@ -43,6 +43,24 @@ class FC : public MacLayer
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
     Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
+    /** Position-local cone: the input's positions x every unit. */
+    Region propagateRegion(const std::vector<const Tensor *> &ins,
+                           int inputIdx, const Region &in,
+                           const Tensor &out) const override;
+
+    /** Recompute only the region's positions (and units). */
+    void forwardRegion(const std::vector<const Tensor *> &ins,
+                       const Region &region, Tensor &out) const override;
+
+    /** Lanes over injections: one batched MAC row per covered
+     *  position and pack-block run of units. */
+    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                              LanePlane *const *inPlanes,
+                              const Region &region,
+                              const BatchCover *cover,
+                              const Tensor &golden,
+                              LanePlane &out) const override;
+
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
     float weightAt(const std::vector<const Tensor *> &ins,
@@ -76,6 +94,12 @@ class FC : public MacLayer
 
     /** Re-pack weights into the lane-blocked kernel layout. */
     void packWeights() const;
+
+    /** forwardRegionBatched at compile-time lane width W. */
+    template <int W>
+    void forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
+                            const Region &region, const BatchCover *cover,
+                            const Tensor &golden, LanePlane &out) const;
 
     int inC_;
     int units_;

@@ -11,9 +11,13 @@
  *  - Spatially local layers (conv / pool / activation / elementwise /
  *    concat / slice) recompute only their cone via
  *    Layer::forwardRegion; the rest of the output is the golden value.
- *  - Globally mixing layers (FC / matmul / softmax / attention / LSTM)
- *    report a full-tensor cone and recompute densely, as does any
- *    layer whose cone covers more than `denseThreshold` of its output.
+ *  - Position-local layers (FC / softmax, and matmul through its A
+ *    operand) map the changed positions across every output channel
+ *    and recompute just those positions.  A change in a matmul's B
+ *    operand reaches every row: that cone is the full tensor and the
+ *    layer recomputes densely, as does any layer whose cone covers
+ *    more than `denseThreshold` of its output.  Attention blocks and
+ *    LSTMs are built from these primitives.
  *  - After each recompute the engine compares the cone against the
  *    golden activation bit-for-bit and shrinks it to the box that
  *    actually changed.  When the delta dies (ReLU clipping, pooling,

@@ -2,7 +2,10 @@
 
 #include <cmath>
 
+#include "nn/lanes.hh"
 #include "sim/logging.hh"
+#include "simd/convert.hh"
+#include "simd/simd.hh"
 #include "tensor/bitops.hh"
 #include "tensor/float16.hh"
 
@@ -70,20 +73,6 @@ Layer::forward(const Tensor &in) const
 void
 Layer::calibrate(const std::vector<const Tensor *> &, const Tensor &)
 {
-}
-
-Region
-Layer::propagateRegion(const std::vector<const Tensor *> &, int,
-                       const Region &, const Tensor &out) const
-{
-    return Region::full(out);
-}
-
-void
-Layer::forwardRegion(const std::vector<const Tensor *> &ins,
-                     const Region &, Tensor &out) const
-{
-    out = forward(ins);
 }
 
 bool
@@ -207,6 +196,45 @@ MacLayer::writeback(double acc, float bias) const
       }
     }
     panic("unknown Precision");
+}
+
+void
+MacLayer::writebackRun(float *op, int nc, int W, const float *bias) const
+{
+    // A missing bias adds +0.0f, exactly as writeback() does.
+    for (int c = 0; c < nc; ++c) {
+        const float b = bias ? bias[c] : 0.0f;
+        for (int l = 0; l < W; ++l)
+            op[c * W + l] += b;
+    }
+    if (precision_ == Precision::FP16)
+        simd::roundToHalfBatch(op, op, static_cast<std::size_t>(nc) * W);
+}
+
+void
+MacLayer::writebackRun(const std::int64_t *acc, int nc, int W,
+                       const float *bias, float *op) const
+{
+    // Splitting writeback into real-value, batch-quantise, dequantise
+    // steps keeps each lane's arithmetic exactly the scalar sequence;
+    // the double product stays left-associated (part of the bit
+    // contract).
+    constexpr int kRunMax = simd::kNarrowLanes * kMaxBatchLanes;
+    panic_if(nc * W > kRunMax, "writeback run too wide");
+    float real[kRunMax];
+    std::int32_t q[kRunMax];
+    for (int c = 0; c < nc; ++c) {
+        const float b = bias ? bias[c] : 0.0f;
+        for (int l = 0; l < W; ++l)
+            real[c * W + l] =
+                static_cast<float>(static_cast<double>(acc[c * W + l]) *
+                                   inQuant_.scale * wQuant_.scale) +
+                b;
+    }
+    simd::quantizeBatch(real, q, static_cast<std::size_t>(nc) * W,
+                        outQuant_);
+    for (int i = 0; i < nc * W; ++i)
+        op[i] = dequantize(q[i], outQuant_);
 }
 
 } // namespace fidelity

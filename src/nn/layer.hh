@@ -140,10 +140,11 @@ class Layer
     /**
      * Fault-cone propagation: a conservative bounding box of the output
      * elements that can change when graph input `inputIdx` changes only
-     * inside `in`.  Spatially local layers override this with their
-     * receptive cone; the default declares the layer globally mixing
-     * (the whole output changes), which makes the incremental engine
-     * fall back to a dense recompute.
+     * inside `in`: the receptive cone of a spatially local layer, the
+     * changed positions across every channel for a position-local
+     * one.  A layer (or input) that mixes globally returns the whole
+     * output, which makes the incremental engine fall back to a dense
+     * recompute.
      *
      * @param ins The layer's inputs (shapes define the mapping).
      * @param inputIdx Which graph input `in` refers to.
@@ -152,7 +153,7 @@ class Layer
      */
     virtual Region propagateRegion(const std::vector<const Tensor *> &ins,
                                    int inputIdx, const Region &in,
-                                   const Tensor &out) const;
+                                   const Tensor &out) const = 0;
 
     /**
      * Recompute only `region` of the output, in place.  `out` must have
@@ -161,10 +162,9 @@ class Layer
      * activation).  Every element inside the region must be
      * bit-identical to what forward() would produce on the same inputs
      * — same operand conversions, same canonical accumulation order.
-     * The default recomputes densely via forward().
      */
     virtual void forwardRegion(const std::vector<const Tensor *> &ins,
-                               const Region &region, Tensor &out) const;
+                               const Region &region, Tensor &out) const = 0;
 
     /**
      * Fault-batched twin of forwardRegion: recompute `region` for every
@@ -300,6 +300,20 @@ class MacLayer : public Layer
 
     /** Round a finished accumulator + bias through the output path. */
     float writeback(double acc, float bias) const;
+
+    /**
+     * Writeback of one pack-block run of a fault-batched MAC kernel:
+     * `nc` output channels x `W` lanes, lane-minor (element c * W + l),
+     * with bias[c] for channel c (`bias` null: no bias).  The float
+     * form adds the bias in place to the accumulators the kernel wrote
+     * into `op` and rounds the run as one batch; the integer form
+     * scales int64 accumulators left-associated like computeNeuron and
+     * requantises the run as one batch.  Each element is identical to
+     * writeback().  nc * W is at most kNarrowLanes * kMaxBatchLanes.
+     */
+    void writebackRun(float *op, int nc, int W, const float *bias) const;
+    void writebackRun(const std::int64_t *acc, int nc, int W,
+                      const float *bias, float *op) const;
 
     /** Apply a PsumFlip substitution to a floating accumulator. */
     static float psumFlipFloat(float acc, std::uint32_t mask);

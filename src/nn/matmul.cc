@@ -1,5 +1,7 @@
 #include "nn/matmul.hh"
 
+#include <limits>
+
 #include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "simd/convert.hh"
@@ -111,10 +113,29 @@ MatMulAB::computeNeuron(const std::vector<const Tensor *> &ins,
 Tensor
 MatMulAB::forward(const std::vector<const Tensor *> &ins) const
 {
-    // Fast path, bit-identical to computeNeuron(): both operands are
-    // converted once per call (B is an activation, so there is no
-    // persistent cache), then accumulated in canonical k order.
     Tensor out = makeOutput(ins);
+    forwardRegion(ins, Region::full(out), out);
+    return out;
+}
+
+Region
+MatMulAB::propagateRegion(const std::vector<const Tensor *> &, int inputIdx,
+                          const Region &in, const Tensor &out) const
+{
+    return inputIdx == 0 ? in.acrossChannels(out) : Region::full(out);
+}
+
+void
+MatMulAB::forwardRegion(const std::vector<const Tensor *> &ins,
+                        const Region &region, Tensor &out) const
+{
+    // Fast path, bit-identical to computeNeuron(): B is converted once
+    // per call, the region's A rows once each, then every row
+    // accumulates in canonical k order.  Output row i reads only A's
+    // row i, so running just the region's rows is exact.
+    checkInputs(ins);
+    if (region.empty())
+        return;
     const Tensor &a = *ins[0];
     const Tensor &b = *ins[1];
     int red = a.c();
@@ -122,12 +143,16 @@ MatMulAB::forward(const std::vector<const Tensor *> &ins) const
     bool integer = precision_ == Precision::INT8 ||
                    precision_ == Precision::INT16;
 
-    int rows = a.n() * a.h();
     int cols = out.c();
+    const int c0 = region.c0, c1 = region.c1;
     auto bAt = [&](int k, int c) {
         return transB_ ? static_cast<std::size_t>(c) * red + k
                        : static_cast<std::size_t>(k) * cols + c;
     };
+    const std::size_t len = static_cast<std::size_t>(region.n1 - region.n0) *
+                            (region.h1 - region.h0) * red;
+    const float *ad = a.data().data();
+    float *od = out.data().data();
 
     // B is an activation, so its pack is per-call arena scratch
     // rather than a persistent cache; the pack step also resolves
@@ -135,10 +160,8 @@ MatMulAB::forward(const std::vector<const Tensor *> &ins) const
     Arena &arena = Arena::local();
     const simd::KernelTable &kt = simd::table();
     if (integer) {
-        auto aq = arena.ints(a.size());
+        auto aq = arena.ints(len);
         auto bq = arena.ints(b.size());
-        simd::quantizeBatch(a.data().data(), aq.data(), a.size(),
-                            inQuant_);
         simd::quantizeBatch(b.data().data(), bq.data(), b.size(),
                             wQuant_);
         auto wb = [&](std::int64_t iacc, int) {
@@ -147,19 +170,20 @@ MatMulAB::forward(const std::vector<const Tensor *> &ins) const
             return writeback(facc * scale_, 0.0f);
         };
         // Per-call narrow eligibility: scan B's quantised magnitudes
-        // for the chunk bound (see Conv2D::packWeights).
+        // for the chunk bound (see Conv2D::packWeights).  B is an
+        // activation, so a NaN may quantise to INT32_MIN: its magnitude
+        // saturates to INT32_MAX, which rules the narrow path out.
         std::int32_t maxAbsW = 0;
         for (std::size_t i = 0; i < b.size(); ++i) {
-            std::int32_t v = bq[i] < 0 ? -bq[i] : bq[i];
+            std::int32_t v = bq[i] == std::numeric_limits<std::int32_t>::min()
+                                 ? std::numeric_limits<std::int32_t>::max()
+                                 : (bq[i] < 0 ? -bq[i] : bq[i]);
             maxAbsW = v > maxAbsW ? v : maxAbsW;
         }
         const int bits = precision_ == Precision::INT8 ? 8 : 16;
         int chunk = simd::narrowChunkPairs(bits, maxAbsW);
         if (simd::narrowEligible(chunk)) {
-            auto an = arena.shorts(a.size() + 1);
-            for (std::size_t i = 0; i < a.size(); ++i)
-                an[i] = static_cast<std::int16_t>(aq[i]);
-            an[a.size()] = 0;
+            auto an = arena.shorts(len + 1);
             auto bp = arena.shorts(simd::packNarrowSize(red, cols));
             simd::packNarrow(
                 red, cols,
@@ -167,9 +191,18 @@ MatMulAB::forward(const std::vector<const Tensor *> &ins) const
                 bp.data());
             auto accL = arena.longs(
                 simd::packSize(1, cols, simd::kNarrowLanes));
-            simd::denseNarrow(kt, an.data(), rows, red, cols,
-                              bp.data(), chunk, accL.data(),
-                              out.data().data(), wb);
+            forEachPositionRun(a, region, [&](std::size_t p0,
+                                              std::size_t np) {
+                const std::size_t n = np * red;
+                simd::quantizeBatch(ad + p0 * red, aq.data(), n,
+                                    inQuant_);
+                for (std::size_t i = 0; i < n; ++i)
+                    an[i] = static_cast<std::int16_t>(aq[i]);
+                an[n] = 0;
+                simd::denseNarrow(kt, an.data(), np, red, cols, c0, c1,
+                                  bp.data(), chunk, accL.data(),
+                                  od + p0 * cols, wb);
+            });
         } else {
             constexpr int L = simd::kI64Lanes;
             auto bp = arena.ints(simd::packSize(red, cols, L));
@@ -178,20 +211,23 @@ MatMulAB::forward(const std::vector<const Tensor *> &ins) const
                 [&](int k, int c) { return bq[bAt(k, c)]; },
                 bp.data());
             auto accL = arena.longs(simd::packSize(1, cols, L));
-            simd::denseInt(kt, aq.data(), rows, red, cols, bp.data(),
-                           accL.data(), out.data().data(), wb);
+            forEachPositionRun(a, region, [&](std::size_t p0,
+                                              std::size_t np) {
+                simd::quantizeBatch(ad + p0 * red, aq.data(), np * red,
+                                    inQuant_);
+                simd::denseInt(kt, aq.data(), np, red, cols, c0, c1,
+                               bp.data(), accL.data(), od + p0 * cols,
+                               wb);
+            });
         }
     } else {
         constexpr int L = simd::kF32Lanes;
         bool half = precision_ == Precision::FP16;
-        auto as = arena.floats(half ? a.size() : 0);
+        auto as = arena.floats(half ? len : 0);
         auto bs = arena.floats(half ? b.size() : 0);
-        const float *af = a.data().data();
         const float *bf = b.data().data();
         if (half) {
-            simd::roundToHalfBatch(af, as.data(), a.size());
             simd::roundToHalfBatch(bf, bs.data(), b.size());
-            af = as.data();
             bf = bs.data();
         }
         auto bp = arena.floats(simd::packSize(red, cols, L));
@@ -199,13 +235,20 @@ MatMulAB::forward(const std::vector<const Tensor *> &ins) const
             red, cols, L,
             [&](int k, int c) { return bf[bAt(k, c)]; }, bp.data());
         auto accF = arena.floats(simd::packSize(1, cols, L));
-        simd::denseFloat(kt, af, rows, red, cols, bp.data(),
-                         accF.data(), out.data().data(),
-                         [&](double acc, int) {
-                             return writeback(acc * scale_, 0.0f);
-                         });
+        forEachPositionRun(a, region, [&](std::size_t p0,
+                                          std::size_t np) {
+            const float *af = ad + p0 * red;
+            if (half) {
+                simd::roundToHalfBatch(af, as.data(), np * red);
+                af = as.data();
+            }
+            simd::denseFloat(kt, af, np, red, cols, c0, c1, bp.data(),
+                             accF.data(), od + p0 * cols,
+                             [&](double acc, int) {
+                                 return writeback(acc * scale_, 0.0f);
+                             });
+        });
     }
-    return out;
 }
 
 std::size_t

@@ -44,6 +44,18 @@ class MatMulAB : public MacLayer
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
     Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
+    /**
+     * Row-local in A: a change in A's row i reaches only output row i
+     * (every column).  A change in B reaches every row.
+     */
+    Region propagateRegion(const std::vector<const Tensor *> &ins,
+                           int inputIdx, const Region &in,
+                           const Tensor &out) const override;
+
+    /** Recompute only the region's rows (and columns). */
+    void forwardRegion(const std::vector<const Tensor *> &ins,
+                       const Region &region, Tensor &out) const override;
+
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
     float weightAt(const std::vector<const Tensor *> &ins,

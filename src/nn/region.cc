@@ -77,6 +77,18 @@ Region::clipped(const Tensor &t) const
     return r;
 }
 
+Region
+Region::acrossChannels(const Tensor &t) const
+{
+    Region r = *this;
+    r.c0 = 0;
+    r.c1 = 1;
+    r = r.clipped(t);
+    if (!r.empty())
+        r.c1 = t.c();
+    return r;
+}
+
 std::pair<int, int>
 windowCone(int in0, int in1, int k, int stride, int pad, int dilation,
            int out_dim)

@@ -79,11 +79,54 @@ struct Region
     /** The box clipped to a tensor's index space. */
     Region clipped(const Tensor &t) const;
 
+    /**
+     * The box's (n, h, w) positions clipped to `t`, across every
+     * channel of `t` (empty when no position survives): the cone of a
+     * position-local layer — FC, softmax, a matmul's A rows — where
+     * every output channel at a position reads every input channel
+     * there.  Only the position axes are clipped, since the input's
+     * channel range may lie beyond the output's channel count.
+     */
+    Region acrossChannels(const Tensor &t) const;
+
     bool operator==(const Region &o) const = default;
 
     /** "[n0,n1)x[h0,h1)x[w0,w1)x[c0,c1)" for diagnostics. */
     std::string str() const;
 };
+
+/**
+ * Call f(first, count) for the (n, h, w) positions of `r` as maximal
+ * runs that are consecutive in t's NHW-major position order: `first`
+ * is the run's first position index ((n * H + h) * W + w, i.e. the
+ * element offset over t.c()).  A box spanning whole rows is one run
+ * per n; the full tensor is a single run.
+ */
+template <class F>
+void
+forEachPositionRun(const Tensor &t, const Region &r, F f)
+{
+    if (r.empty())
+        return;
+    const std::size_t hw = static_cast<std::size_t>(t.h()) * t.w();
+    auto pos = [&](int n, int h, int w) {
+        return static_cast<std::size_t>(n) * hw +
+               static_cast<std::size_t>(h) * t.w() + w;
+    };
+    if (r.w0 == 0 && r.w1 == t.w()) {
+        if (r.h0 == 0 && r.h1 == t.h()) {
+            f(pos(r.n0, 0, 0), (r.n1 - r.n0) * hw);
+            return;
+        }
+        for (int n = r.n0; n < r.n1; ++n)
+            f(pos(n, r.h0, 0),
+              static_cast<std::size_t>(r.h1 - r.h0) * t.w());
+        return;
+    }
+    for (int n = r.n0; n < r.n1; ++n)
+        for (int h = r.h0; h < r.h1; ++h)
+            f(pos(n, h, r.w0), static_cast<std::size_t>(r.w1 - r.w0));
+}
 
 /**
  * Output index span [lo, hi) of the sliding windows (kernel k, given

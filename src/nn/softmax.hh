@@ -11,7 +11,11 @@
 namespace fidelity
 {
 
-/** Softmax applied independently at every (n, h, w) position. */
+/**
+ * Softmax applied independently at every (n, h, w) position.  The
+ * output is never rounded to the active precision (it is a
+ * probability vector, not a datapath writeback).
+ */
 class Softmax : public Layer
 {
   public:
@@ -23,6 +27,22 @@ class Softmax : public Layer
 
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
     Tensor forward(const std::vector<const Tensor *> &ins) const override;
+
+    /** Position-local cone: the input's positions x every channel. */
+    Region propagateRegion(const std::vector<const Tensor *> &ins,
+                           int inputIdx, const Region &in,
+                           const Tensor &out) const override;
+
+    void forwardRegion(const std::vector<const Tensor *> &ins,
+                       const Region &region, Tensor &out) const override;
+
+    /** The scalar row arithmetic per lane; marks `out` raw. */
+    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                              LanePlane *const *inPlanes,
+                              const Region &region,
+                              const BatchCover *cover,
+                              const Tensor &golden,
+                              LanePlane &out) const override;
 };
 
 } // namespace fidelity

@@ -5,15 +5,16 @@
  * The input is a [positions][red] operand stream already converted to
  * stored form; the weights are packed in the fixed-width layouts of
  * pack.hh.  Each driver runs one `KernelTable` microkernel per
- * position (all column blocks in one call), then walks the real
- * columns applying the caller's writeback.  Lanes span independent
- * output columns, each accumulating in the canonical reduction order
- * with unfused multiply-adds — bit-identical to the scalar kernel and
- * to computeNeuron().
+ * position over the pack blocks that hold the column window [c0, c1),
+ * then walks those columns applying the caller's writeback.  Lanes
+ * span independent output columns, each accumulating in the canonical
+ * reduction order with unfused multiply-adds — bit-identical to the
+ * scalar kernel and to computeNeuron(), whatever the window.
  *
  * Callers provide the accumulator scratch (`acc`, one padded block
  * row: packBlocks(cols, L) * L elements) so steady-state campaigns
- * reuse arena storage.
+ * reuse arena storage.  Output rows are `cols` apart; columns outside
+ * the window are left untouched.
  */
 
 #ifndef FIDELITY_SIMD_GEMM_HH
@@ -30,20 +31,24 @@ namespace fidelity::simd
 
 /**
  * out[pos * cols + c] = wb(sum_k xs[pos * red + k] * packed[k, c], c)
- * for every position and column; `wb(acc, c)` applies bias/writeback.
+ * for every position and every column c in [c0, c1); `wb(acc, c)`
+ * applies bias/writeback.
  */
 template <class WB>
 void
 denseFloat(const KernelTable &kt, const float *xs, std::size_t positions,
-           int red, int cols, const float *packed, float *acc,
-           float *out, WB wb)
+           int red, int cols, int c0, int c1, const float *packed,
+           float *acc, float *out, WB wb)
 {
-    const int blocks = packBlocks(cols, kF32Lanes);
+    constexpr int L = kF32Lanes;
+    const int b0 = c0 / L;
+    const int blocks = (c1 - 1) / L - b0 + 1;
+    const float *pk = packed + static_cast<std::size_t>(b0) * red * L;
     for (std::size_t pos = 0; pos < positions; ++pos) {
-        kt.gemmF32(xs + pos * red, red, blocks, packed, acc);
+        kt.gemmF32(xs + pos * red, red, blocks, pk, acc);
         float *ob = out + pos * cols;
-        for (int c = 0; c < cols; ++c)
-            ob[c] = wb(static_cast<double>(acc[c]), c);
+        for (int c = c0; c < c1; ++c)
+            ob[c] = wb(static_cast<double>(acc[c - b0 * L]), c);
     }
 }
 
@@ -51,16 +56,20 @@ denseFloat(const KernelTable &kt, const float *xs, std::size_t positions,
 template <class WB>
 void
 denseInt(const KernelTable &kt, const std::int32_t *xq,
-         std::size_t positions, int red, int cols,
+         std::size_t positions, int red, int cols, int c0, int c1,
          const std::int32_t *packed, std::int64_t *acc, float *out,
          WB wb)
 {
-    const int blocks = packBlocks(cols, kI64Lanes);
+    constexpr int L = kI64Lanes;
+    const int b0 = c0 / L;
+    const int blocks = (c1 - 1) / L - b0 + 1;
+    const std::int32_t *pk =
+        packed + static_cast<std::size_t>(b0) * red * L;
     for (std::size_t pos = 0; pos < positions; ++pos) {
-        kt.gemmI64(xq + pos * red, red, blocks, packed, acc);
+        kt.gemmI64(xq + pos * red, red, blocks, pk, acc);
         float *ob = out + pos * cols;
-        for (int c = 0; c < cols; ++c)
-            ob[c] = wb(acc[c], c);
+        for (int c = c0; c < c1; ++c)
+            ob[c] = wb(acc[c - b0 * L], c);
     }
 }
 
@@ -75,18 +84,22 @@ denseInt(const KernelTable &kt, const std::int32_t *xq,
 template <class WB>
 void
 denseNarrow(const KernelTable &kt, const std::int16_t *xs,
-            std::size_t positions, int red, int cols,
+            std::size_t positions, int red, int cols, int c0, int c1,
             const std::int16_t *packed, int chunkPairs,
             std::int64_t *acc, float *out, WB wb)
 {
-    const int blocks = packBlocks(cols, kNarrowLanes);
+    constexpr int L = kNarrowLanes;
+    const int b0 = c0 / L;
+    const int blocks = (c1 - 1) / L - b0 + 1;
     const int redPairs = packPairs(red);
+    const std::int16_t *pk =
+        packed + static_cast<std::size_t>(b0) * redPairs * 2 * L;
     for (std::size_t pos = 0; pos < positions; ++pos) {
-        kt.gemmNarrow(xs + pos * red, redPairs, blocks, packed,
-                      chunkPairs, acc);
+        kt.gemmNarrow(xs + pos * red, redPairs, blocks, pk, chunkPairs,
+                      acc);
         float *ob = out + pos * cols;
-        for (int c = 0; c < cols; ++c)
-            ob[c] = wb(acc[c], c);
+        for (int c = c0; c < c1; ++c)
+            ob[c] = wb(acc[c - b0 * L], c);
     }
 }
 

@@ -30,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 #include "simd/simd.hh"
@@ -974,12 +975,14 @@ lreluF32T(const float *x, float alpha, float *o, std::size_t n)
 // ---------------------------------------------------------------- //
 
 /** Local replica of tensor/quant.cc quantize(): same expression, same
- *  order, so results (NaN conversion included) are bit-identical.
- *  Internal linkage — tensor/quant.cc stays the public definition. */
+ *  order, so results (NaN included) are bit-identical.  Internal
+ *  linkage — tensor/quant.cc stays the public definition. */
 inline std::int32_t
 quantOne(float x, double scale, std::int32_t qmin, std::int32_t qmax)
 {
     double q = std::nearbyint(static_cast<double>(x) / scale);
+    if (std::isnan(q))
+        return std::numeric_limits<std::int32_t>::min();
     q = std::clamp(q, static_cast<double>(qmin),
                    static_cast<double>(qmax));
     return static_cast<std::int32_t>(q);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -34,6 +35,11 @@ std::int32_t
 quantize(float x, const QuantParams &qp)
 {
     double q = std::nearbyint(static_cast<double>(x) / qp.scale);
+    // A NaN has no integer value; INT32_MIN is what the x86
+    // conversion instructions produce for it, defined here explicitly
+    // (casting a NaN double is undefined behaviour).
+    if (std::isnan(q))
+        return std::numeric_limits<std::int32_t>::min();
     q = std::clamp(q, static_cast<double>(qp.qmin()),
                    static_cast<double>(qp.qmax()));
     return static_cast<std::int32_t>(q);

@@ -46,7 +46,8 @@ QuantParams calibrate(const std::vector<float> &values, int bits);
 /** Derive symmetric params from a known absolute maximum. */
 QuantParams calibrateAbsMax(double abs_max, int bits);
 
-/** Quantise one value (round-to-nearest, clamp to range). */
+/** Quantise one value (round-to-nearest, clamp to range; a NaN
+ *  quantises to INT32_MIN, outside every range). */
 std::int32_t quantize(float x, const QuantParams &qp);
 
 /** Dequantise one value. */

@@ -7,13 +7,17 @@
  * on a multi-branch DAG with grouped/dilated/strided/padded
  * convolutions; ragged batches (fewer live lanes than the engine
  * width, non-contiguous lane indices); per-lane early-exit divergence
- * inside one batch; campaign-checksum invariance under batch width,
- * thread count, result cache, and kill-and-resume; and batch-width
+ * inside one batch; the FC and softmax batched kernels against
+ * per-lane forwardRegion (every precision, special values, raw and
+ * stored-form planes, with and without coverage); campaign-checksum
+ * invariance under batch width, thread count, result cache, and
+ * kill-and-resume, on resnet and on the transformer; and batch-width
  * validation at both the engine factory and the campaign config.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -25,6 +29,7 @@
 
 #include "core/campaign.hh"
 #include "nn/activation.hh"
+#include "nn/attention.hh"
 #include "nn/batched.hh"
 #include "nn/conv.hh"
 #include "nn/elementwise.hh"
@@ -34,7 +39,9 @@
 #include "nn/network.hh"
 #include "nn/pool.hh"
 #include "nn/region.hh"
+#include "nn/softmax.hh"
 #include "sim/rng.hh"
+#include "tensor/bitops.hh"
 #include "workloads/metrics.hh"
 #include "workloads/models.hh"
 
@@ -79,8 +86,8 @@ makeConv(std::string name, const ConvSpec &spec, std::uint64_t seed)
 
 /** Same layer zoo as test_incremental's DAG: padded, depthwise,
  *  dilated, and strided convolutions on parallel branches, add, scale,
- *  concat, slice, max pool, global average pool, FC head (the FC rides
- *  the per-lane fallback, everything else a batched kernel). */
+ *  concat, slice, max pool, global average pool, FC head — every
+ *  layer on a batched kernel. */
 Network
 makeBranchy(std::uint64_t seed)
 {
@@ -121,6 +128,28 @@ makeBranchy(std::uint64_t seed)
     return net;
 }
 
+/** One transformer encoder block plus a vocabulary FC and softmax
+ *  (as in test_incremental): FC and softmax on batched kernels, the
+ *  matmuls on the per-lane fallback, fed through both inputs. */
+Network
+makeAttention(std::uint64_t seed)
+{
+    Rng rng(seed);
+    Network net("attention");
+    AttentionSpec spec;
+    spec.seqLen = 6;
+    spec.dModel = 8;
+    spec.dFF = 16;
+    NodeId enc = addAttentionBlock(net, 0, spec, rng, "enc");
+    NodeId logits = net.add(
+        std::make_unique<FC>("vocab", spec.dModel, 5,
+                             heWeights(rng, spec.dModel * 5, spec.dModel),
+                             smallBiases(rng, 5)),
+        enc);
+    net.add(std::make_unique<Softmax>("softmax"), logits);
+    return net;
+}
+
 /** Unique snapshot path in gtest's temp dir; removed on destruction. */
 class ScopedSnapshotPath
 {
@@ -142,6 +171,133 @@ class ScopedSnapshotPath
   private:
     std::string path_;
 };
+
+/** One perturbed input element of one lane. */
+struct LaneFault
+{
+    std::size_t flat;
+    float value;
+};
+
+/**
+ * Run `layer`'s forwardRegionBatched at lane width W, lane l reading
+ * `x` with faults[l] applied, and check every lane of the recomputed
+ * region bit for bit against forwardRegion on that lane's own input.
+ * `stored` keeps the input plane's stored-form flag (the caller then
+ * supplies FP16 stored-form `x` and faults); otherwise the plane is
+ * marked raw.
+ * With `useCover`, the region is the bounding box of the lane cones
+ * and the kernel walks only their coverage.
+ */
+template <int W>
+void
+checkBatchedKernel(const Layer &layer, const Tensor &x,
+                   const std::vector<std::vector<LaneFault>> &faults,
+                   bool stored, bool useCover, const std::string &what)
+{
+    std::vector<const Tensor *> ins{&x};
+    const Tensor golden = layer.forward(ins);
+    LanePlane xp;
+    xp.reset(W);
+    xp.ensure(x, Region::full(x));
+    if (!stored)
+        xp.markRaw();
+    std::vector<Tensor> laneIn(W, x);
+    std::array<Region, W> cones{};
+    std::uint32_t mask = 0;
+    Region bbox;
+    for (int l = 0; l < W && l < static_cast<int>(faults.size()); ++l) {
+        for (const LaneFault &f : faults[l]) {
+            laneIn[l][f.flat] = f.value;
+            xp.lanes(f.flat)[l] = f.value;
+            cones[l].merge(layer.propagateRegion(
+                ins, 0, Region::of(x.indexOf(f.flat)), golden));
+        }
+        if (!cones[l].empty()) {
+            mask |= 1u << l;
+            bbox.merge(cones[l]);
+        }
+    }
+    const Region region = useCover ? bbox : Region::full(golden);
+    BatchCover cover;
+    if (useCover)
+        cover.build(cones.data(), mask, W, bbox);
+    LanePlane op;
+    op.reset(W);
+    op.ensure(golden, region);
+    LanePlane *planes[] = {&xp};
+    ASSERT_TRUE(layer.forwardRegionBatched(
+        ins, planes, region, useCover ? &cover : nullptr, golden, op))
+        << what;
+    for (int l = 0; l < W; ++l) {
+        Tensor ref = golden;
+        std::vector<const Tensor *> lins{&laneIn[l]};
+        layer.forwardRegion(lins, region, ref);
+        for (int n = region.n0; n < region.n1; ++n)
+            for (int h = region.h0; h < region.h1; ++h)
+                for (int w = region.w0; w < region.w1; ++w)
+                    for (int c = region.c0; c < region.c1; ++c) {
+                        const std::size_t f = golden.offset(n, h, w, c);
+                        ASSERT_EQ(
+                            std::bit_cast<std::uint32_t>(op.lanes(f)[l]),
+                            std::bit_cast<std::uint32_t>(ref[f]))
+                            << what << " W=" << W << " lane " << l
+                            << " at " << golden.indexOf(f).str();
+                    }
+    }
+}
+
+/** `x` with every element rounded to its FP16 stored form. */
+Tensor
+halfRounded(Tensor x)
+{
+    for (auto &v : x.data())
+        v = roundToHalf(v);
+    return x;
+}
+
+/**
+ * Per-lane faults on `x`: lane l corrupts one to three channels of
+ * one position (scattered, so coverage leaves gaps), cycling through
+ * NaN, +-Inf, +-0, +-65504, a value FP16 rounds to 65504, an FP16
+ * subnormal, and large normals.  The last lane stays clean.  With
+ * `stored` every value is rounded to its FP16 stored form.
+ */
+std::vector<std::vector<LaneFault>>
+laneFaults(const Tensor &x, int lanes, bool stored, std::uint64_t seed)
+{
+    const float special[] = {
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        0.0f,
+        -0.0f,
+        65504.0f,
+        -65504.0f,
+        65519.0f,
+        3.0e-6f,
+    };
+    Rng rng(seed);
+    std::vector<std::vector<LaneFault>> out(lanes);
+    int k = 0;
+    for (int l = 0; l + 1 < lanes; ++l) {
+        const int n = l % x.n();
+        const int h = (3 * l + 1) % x.h();
+        const int w = l % x.w();
+        const int count = 1 + l % 3;
+        for (int i = 0; i < count; ++i) {
+            const int c = (5 * l + 3 * i) % x.c();
+            float v = k < static_cast<int>(std::size(special))
+                          ? special[k]
+                          : static_cast<float>(rng.normal(0, 64));
+            ++k;
+            if (stored)
+                v = roundToHalf(v);
+            out[l].push_back({x.offset(n, h, w, c), v});
+        }
+    }
+    return out;
+}
 
 CampaignConfig
 smallConfig()
@@ -181,10 +337,7 @@ TEST(BatchedEngine, BitIdenticalToScalarAcrossPrecisions)
         {0, 1, 2},                // ragged tail
         {1, 4, 6},                // non-contiguous lanes
     };
-    Tensor input = randomTensor(101, 1, 8, 8, 4);
-    for (Precision p : {Precision::FP32, Precision::FP16,
-                        Precision::INT8}) {
-        Network net = makeBranchy(100);
+    auto check = [&](Network net, const Tensor &input, Precision p) {
         net.setPrecision(p);
         if (p == Precision::INT8)
             net.calibrate(input);
@@ -239,6 +392,11 @@ TEST(BatchedEngine, BitIdenticalToScalarAcrossPrecisions)
                 }
             }
         }
+    };
+    for (Precision p : {Precision::FP32, Precision::FP16,
+                        Precision::INT8}) {
+        check(makeBranchy(100), randomTensor(101, 1, 8, 8, 4), p);
+        check(makeAttention(100), randomTensor(103, 1, 6, 1, 8), p);
     }
 }
 
@@ -292,6 +450,78 @@ TEST(BatchedEngine, PerLaneEarlyExitDivergence)
     EXPECT_TRUE(bitIdentical(ref, eng->laneOutput(3)));
 }
 
+TEST(BatchedKernel, FcMatchesPerLaneForwardRegion)
+{
+    // Odd reduction (the narrow pad row), unit count off every pack
+    // width, with and without bias.
+    Rng wrng(121);
+    FC withBias("fc.bias", 11, 13, heWeights(wrng, 11 * 13, 11),
+                smallBiases(wrng, 13));
+    FC noBias("fc.nobias", 11, 6, heWeights(wrng, 11 * 6, 11), {});
+    const Tensor raw = randomTensor(122, 2, 4, 3, 11);
+    for (FC *fc : {&withBias, &noBias}) {
+        for (Precision p : {Precision::FP32, Precision::FP16,
+                            Precision::INT16, Precision::INT8}) {
+            fc->setPrecision(p);
+            if (p == Precision::INT8 || p == Precision::INT16) {
+                std::vector<const Tensor *> ins{&raw};
+                fc->calibrate(ins, fc->forward(ins));
+            }
+            for (bool stored : {false, true}) {
+                const Tensor x = stored ? halfRounded(raw) : raw;
+                for (bool cover : {false, true}) {
+                    const std::string what =
+                        fc->name() + " " + precisionName(p) +
+                        (stored ? " stored" : " raw") +
+                        (cover ? " covered" : " dense");
+                    checkBatchedKernel<4>(*fc, x,
+                                          laneFaults(x, 4, stored, 123),
+                                          stored, cover, what);
+                    checkBatchedKernel<8>(*fc, x,
+                                          laneFaults(x, 8, stored, 124),
+                                          stored, cover, what);
+                }
+            }
+        }
+    }
+}
+
+TEST(BatchedKernel, SoftmaxMatchesPerLaneForwardRegionAndMarksRaw)
+{
+    Softmax sm("softmax");
+    const Tensor raw = randomTensor(131, 2, 4, 3, 7);
+    for (Precision p : {Precision::FP32, Precision::FP16}) {
+        sm.setPrecision(p);
+        for (bool stored : {false, true}) {
+            const Tensor x = stored ? halfRounded(raw) : raw;
+            for (bool cover : {false, true}) {
+                const std::string what =
+                    std::string("softmax ") + precisionName(p) +
+                    (stored ? " stored" : " raw") +
+                    (cover ? " covered" : " dense");
+                checkBatchedKernel<4>(sm, x, laneFaults(x, 4, stored, 132),
+                                      stored, cover, what);
+                checkBatchedKernel<8>(sm, x, laneFaults(x, 8, stored, 133),
+                                      stored, cover, what);
+            }
+        }
+    }
+    // Softmax output is never rounded, so its plane must tell FP16
+    // consumers to convert — golden fill included.
+    const Tensor &x = raw;
+    std::vector<const Tensor *> ins{&x};
+    const Tensor golden = sm.forward(ins);
+    LanePlane xp, op;
+    xp.reset(8);
+    op.reset(8);
+    op.ensure(golden, Region::full(golden));
+    LanePlane *planes[] = {&xp};
+    ASSERT_TRUE(op.storedForm());
+    ASSERT_TRUE(sm.forwardRegionBatched(ins, planes, Region::full(golden),
+                                        nullptr, golden, op));
+    EXPECT_FALSE(op.storedForm());
+}
+
 TEST(BatchedCampaign, ChecksumInvariantUnderWidthThreadsCache)
 {
     // The batch width is a pure performance knob: campaignChecksum
@@ -319,6 +549,40 @@ TEST(BatchedCampaign, ChecksumInvariantUnderWidthThreadsCache)
                 EXPECT_EQ(campaignChecksum(res), want)
                     << "width " << width << " threads " << threads
                     << " cache " << cache;
+            }
+        }
+    }
+}
+
+TEST(BatchedCampaign, TransformerChecksumInvariantUnderWidthAndThreads)
+{
+    // Attention networks run FC and softmax on batched kernels and
+    // matmuls on per-lane fallback cones: the campaign must match the
+    // dense and the B = 1 result at every width and thread count.
+    for (Precision p : {Precision::FP16, Precision::INT8}) {
+        Network net = buildTransformer(3);
+        Tensor x = defaultInputFor("transformer", 4);
+        net.setPrecision(p);
+        if (p == Precision::INT8)
+            net.calibrate(x);
+
+        CampaignConfig dense = smallConfig();
+        dense.incremental = false;
+        dense.batchWidth = 1;
+        dense.resultCacheEnabled = false;
+        const std::uint64_t want = campaignChecksum(
+            runCampaign(net, x, bleuMetric(0.10), dense));
+
+        for (int width : {1, 8}) {
+            for (int threads : {1, 4}) {
+                CampaignConfig cfg = smallConfig();
+                cfg.batchWidth = width;
+                cfg.numThreads = threads;
+                CampaignResult res =
+                    runCampaign(net, x, bleuMetric(0.10), cfg);
+                EXPECT_EQ(campaignChecksum(res), want)
+                    << precisionName(p) << " width " << width
+                    << " threads " << threads;
             }
         }
     }

@@ -4,9 +4,11 @@
  *
  * Region algebra and windowCone unit tests; brute-force checks that
  * every layer's propagateRegion is conservative (no output the fault
- * can reach escapes the cone); differential tests asserting the engine
- * is bit-identical to Network::forwardFrom across FP32/FP16/INT8 on a
- * multi-branch DAG with grouped/dilated/strided/padded convolutions;
+ * can reach escapes the cone), position-local FC / softmax / matmul
+ * included; differential tests asserting the engine is bit-identical
+ * to Network::forwardFrom across FP32/FP16/INT8 on a multi-branch DAG
+ * with grouped/dilated/strided/padded convolutions and on a
+ * transformer encoder block;
  * the early masking exit; the per-thread arena; and full
  * dense-vs-incremental campaign equality.
  */
@@ -20,14 +22,17 @@
 
 #include "core/campaign.hh"
 #include "nn/activation.hh"
+#include "nn/attention.hh"
 #include "nn/conv.hh"
 #include "nn/elementwise.hh"
 #include "nn/fc.hh"
 #include "nn/incremental.hh"
 #include "nn/init.hh"
+#include "nn/matmul.hh"
 #include "nn/network.hh"
 #include "nn/pool.hh"
 #include "nn/region.hh"
+#include "nn/softmax.hh"
 #include "sim/arena.hh"
 #include "sim/rng.hh"
 
@@ -114,6 +119,31 @@ makeBranchy(std::uint64_t seed)
     net.add(std::make_unique<FC>("fc", 8, 5, heWeights(rng, 40, 8),
                                  smallBiases(rng, 5)),
             gap);
+    return net;
+}
+
+/**
+ * One transformer encoder block (Q/K/V projections, Q*K^T, softmax,
+ * A*V, output projection, residuals, ReLU feed-forward) followed by a
+ * vocabulary FC and softmax: every position-local layer kind, with
+ * matmuls fed through both inputs.
+ */
+Network
+makeAttention(std::uint64_t seed)
+{
+    Rng rng(seed);
+    Network net("attention");
+    AttentionSpec spec;
+    spec.seqLen = 6;
+    spec.dModel = 8;
+    spec.dFF = 16;
+    NodeId enc = addAttentionBlock(net, 0, spec, rng, "enc");
+    NodeId logits = net.add(
+        std::make_unique<FC>("vocab", spec.dModel, 5,
+                             heWeights(rng, spec.dModel * 5, spec.dModel),
+                             smallBiases(rng, 5)),
+        enc);
+    net.add(std::make_unique<Softmax>("softmax"), logits);
     return net;
 }
 
@@ -207,55 +237,89 @@ TEST(Region, WindowConeMatchesBruteForce)
 
 TEST(Region, PropagateIsConservativePerLayer)
 {
-    // Perturb one input element, recompute the layer densely, and
-    // check every output that changed lies inside the propagated cone.
+    // Perturb one element of one input, recompute the layer densely,
+    // and check every output that changed lies inside the propagated
+    // cone.
+    struct Case
+    {
+        std::unique_ptr<Layer> layer;
+        std::vector<Tensor> ins;
+    };
     Tensor x = randomTensor(11, 1, 8, 8, 4);
-    std::vector<std::unique_ptr<Layer>> layers;
-    layers.push_back(
-        makeConv("plain", {.inC = 4, .outC = 6, .pad = 1}, 21));
-    layers.push_back(makeConv(
-        "strided",
-        {.inC = 4, .outC = 6, .kh = 5, .kw = 5, .stride = 2, .pad = 2},
-        22));
-    layers.push_back(makeConv(
-        "dilated", {.inC = 4, .outC = 4, .pad = 2, .dilation = 2}, 23));
-    layers.push_back(makeConv(
-        "grouped", {.inC = 4, .outC = 8, .pad = 1, .groups = 2}, 24));
-    layers.push_back(makeConv(
-        "depthwise", {.inC = 4, .outC = 4, .pad = 1, .groups = 4}, 25));
-    layers.push_back(makeConv("nopad", {.inC = 4, .outC = 4}, 26));
-    layers.push_back(
-        std::make_unique<Pool>("max", Pool::Mode::Max, 2, 2));
-    layers.push_back(
-        std::make_unique<Pool>("avgpad", Pool::Mode::Avg, 3, 2, 1));
-    layers.push_back(std::make_unique<GlobalAvgPool>("gap"));
-    layers.push_back(std::make_unique<Activation>(
-        "leaky", Activation::Func::LeakyReLU));
-    layers.push_back(
-        std::make_unique<Slice>("slice", Slice::Axis::C, 1, 2));
-    layers.push_back(
-        std::make_unique<ScaleShift>("scale", 2.0f, -1.0f));
+    std::vector<Case> cases;
+    auto add = [&](std::unique_ptr<Layer> layer,
+                   std::vector<Tensor> ins) {
+        cases.push_back({std::move(layer), std::move(ins)});
+    };
+    add(makeConv("plain", {.inC = 4, .outC = 6, .pad = 1}, 21), {x});
+    add(makeConv("strided",
+                 {.inC = 4, .outC = 6, .kh = 5, .kw = 5, .stride = 2,
+                  .pad = 2},
+                 22),
+        {x});
+    add(makeConv("dilated",
+                 {.inC = 4, .outC = 4, .pad = 2, .dilation = 2}, 23),
+        {x});
+    add(makeConv("grouped", {.inC = 4, .outC = 8, .pad = 1, .groups = 2},
+                 24),
+        {x});
+    add(makeConv("depthwise",
+                 {.inC = 4, .outC = 4, .pad = 1, .groups = 4}, 25),
+        {x});
+    add(makeConv("nopad", {.inC = 4, .outC = 4}, 26), {x});
+    add(std::make_unique<Pool>("max", Pool::Mode::Max, 2, 2), {x});
+    add(std::make_unique<Pool>("avgpad", Pool::Mode::Avg, 3, 2, 1), {x});
+    add(std::make_unique<GlobalAvgPool>("gap"), {x});
+    add(std::make_unique<Activation>("leaky",
+                                     Activation::Func::LeakyReLU),
+        {x});
+    add(std::make_unique<Slice>("slice", Slice::Axis::C, 1, 2), {x});
+    add(std::make_unique<ScaleShift>("scale", 2.0f, -1.0f), {x});
+    // Position-local layers.  The FC and the plain matmul read more
+    // input channels than they produce, so a fault in a high input
+    // channel has a channel range beyond the output's.
+    Rng wrng(27);
+    add(std::make_unique<FC>("fc.wide", 12, 5, heWeights(wrng, 60, 12),
+                             smallBiases(wrng, 5)),
+        {randomTensor(12, 2, 3, 4, 12)});
+    add(std::make_unique<FC>("fc.narrow", 4, 9, heWeights(wrng, 36, 4),
+                             smallBiases(wrng, 9)),
+        {x});
+    add(std::make_unique<Softmax>("softmax"), {x});
+    add(std::make_unique<MatMulAB>("mm", /*trans_b=*/false, 0.5f),
+        {randomTensor(13, 2, 6, 1, 8), randomTensor(14, 1, 8, 1, 3)});
+    add(std::make_unique<MatMulAB>("mm.t", /*trans_b=*/true),
+        {randomTensor(15, 2, 6, 1, 8), randomTensor(16, 1, 5, 1, 8)});
 
     Rng rng(31);
-    for (const auto &layer : layers) {
-        std::vector<const Tensor *> ins{&x};
-        Tensor golden = layer->forward(ins);
-        for (int trial = 0; trial < 12; ++trial) {
-            NeuronIndex at = x.indexOf(rng.below(static_cast<std::uint32_t>(x.size())));
-            Tensor fx = x;
-            fx.at(at) += 10.0f;
-            std::vector<const Tensor *> fins{&fx};
-            Tensor faulty = layer->forward(fins);
-            Region cone = layer->propagateRegion(ins, 0,
-                                                 Region::of(at), golden);
-            for (std::size_t i = 0; i < golden.size(); ++i) {
-                if (std::bit_cast<std::uint32_t>(golden[i]) ==
-                    std::bit_cast<std::uint32_t>(faulty[i]))
-                    continue;
-                EXPECT_TRUE(cone.contains(golden.indexOf(i)))
-                    << layer->name() << ": changed output "
-                    << golden.indexOf(i).str() << " outside cone "
-                    << cone.str() << " for fault at " << at.str();
+    for (const Case &cs : cases) {
+        const Layer &layer = *cs.layer;
+        std::vector<const Tensor *> ins;
+        for (const Tensor &t : cs.ins)
+            ins.push_back(&t);
+        Tensor golden = layer.forward(ins);
+        for (std::size_t k = 0; k < cs.ins.size(); ++k) {
+            const Tensor &in = cs.ins[k];
+            for (int trial = 0; trial < 12; ++trial) {
+                NeuronIndex at = in.indexOf(
+                    rng.below(static_cast<std::uint32_t>(in.size())));
+                Tensor fx = in;
+                fx.at(at) += 10.0f;
+                std::vector<const Tensor *> fins = ins;
+                fins[k] = &fx;
+                Tensor faulty = layer.forward(fins);
+                Region cone = layer.propagateRegion(
+                    ins, static_cast<int>(k), Region::of(at), golden);
+                for (std::size_t i = 0; i < golden.size(); ++i) {
+                    if (std::bit_cast<std::uint32_t>(golden[i]) ==
+                        std::bit_cast<std::uint32_t>(faulty[i]))
+                        continue;
+                    EXPECT_TRUE(cone.contains(golden.indexOf(i)))
+                        << layer.name() << ": changed output "
+                        << golden.indexOf(i).str() << " outside cone "
+                        << cone.str() << " for a fault in input " << k
+                        << " at " << at.str();
+                }
             }
         }
     }
@@ -301,12 +365,57 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
     }
 }
 
+TEST(Incremental, PositionLocalForwardRegionWritesOnlyTheRegion)
+{
+    // FC / matmul / softmax recompute a partial box — some positions,
+    // a channel window cutting through pack blocks — bit-identical to
+    // forward() inside it, without touching anything outside it.
+    Rng wrng(53);
+    FC fc("fc", 11, 13, heWeights(wrng, 11 * 13, 11),
+          smallBiases(wrng, 13));
+    MatMulAB mm("mm", /*trans_b=*/true, 0.25f);
+    Softmax sm("softmax");
+    Tensor x = randomTensor(54, 2, 3, 4, 11);
+    Tensor a = randomTensor(55, 2, 5, 1, 11);
+    Tensor b = randomTensor(56, 1, 13, 1, 11);
+    struct Case
+    {
+        Layer *layer;
+        std::vector<const Tensor *> ins;
+        Region region;
+    };
+    const std::vector<Case> cases = {
+        {&fc, {&x}, Region{1, 2, 0, 2, 1, 3, 3, 12}},
+        {&fc, {&x}, Region{0, 2, 1, 3, 0, 4, 0, 13}},
+        {&mm, {&a, &b}, Region{0, 2, 1, 4, 0, 1, 5, 9}},
+        {&sm, {&x}, Region{1, 2, 1, 2, 2, 4, 0, 11}},
+    };
+    for (Precision p : {Precision::FP32, Precision::FP16,
+                        Precision::INT16, Precision::INT8}) {
+        for (const Case &cs : cases) {
+            cs.layer->setPrecision(p);
+            if (p == Precision::INT8 || p == Precision::INT16)
+                cs.layer->calibrate(cs.ins, cs.layer->forward(cs.ins));
+            Tensor golden = cs.layer->forward(cs.ins);
+            Tensor patched = golden;
+            patched.fill(-777.0f);
+            cs.layer->forwardRegion(cs.ins, cs.region, patched);
+            for (std::size_t i = 0; i < golden.size(); ++i) {
+                const bool inside = cs.region.contains(golden.indexOf(i));
+                const float want = inside ? golden[i] : -777.0f;
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(patched[i]),
+                          std::bit_cast<std::uint32_t>(want))
+                    << cs.layer->name() << " precision "
+                    << precisionName(p) << " at "
+                    << golden.indexOf(i).str();
+            }
+        }
+    }
+}
+
 TEST(Incremental, BitIdenticalToForwardFromAcrossPrecisions)
 {
-    Tensor input = randomTensor(61, 1, 8, 8, 4);
-    for (Precision p : {Precision::FP32, Precision::FP16,
-                        Precision::INT8}) {
-        Network net = makeBranchy(60);
+    auto check = [](Network net, const Tensor &input, Precision p) {
         net.setPrecision(p);
         if (p == Precision::INT8)
             net.calibrate(input);
@@ -335,10 +444,15 @@ TEST(Incremental, BitIdenticalToForwardFromAcrossPrecisions)
                 const Tensor &fast =
                     engine.run(net, node, corrupted, fault, acts);
                 EXPECT_TRUE(bitIdentical(dense, fast))
-                    << "node " << node << " trial " << trial
-                    << " precision " << static_cast<int>(p);
+                    << net.name() << " node " << node << " trial "
+                    << trial << " precision " << static_cast<int>(p);
             }
         }
+    };
+    for (Precision p : {Precision::FP32, Precision::FP16,
+                        Precision::INT8}) {
+        check(makeBranchy(60), randomTensor(61, 1, 8, 8, 4), p);
+        check(makeAttention(60), randomTensor(63, 1, 6, 1, 8), p);
     }
 }
 

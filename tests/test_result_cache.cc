@@ -171,9 +171,11 @@ TEST(ResultCache, CapacityRoundingAndFloor)
 
 TEST(ResultCache, FreshLargeTableMissesAtBothEnds)
 {
-    // The entry words of a large table are zero-filled lazily, so its
-    // first and last clusters must read as empty on first touch, and
-    // stay writable.  64 MiB: 65536 clusters per shard.
+    // The entry words of a large table (64x the 1 MiB campaign
+    // default, as a shared service table may be) are zero-filled
+    // lazily, so its first and last clusters must read as empty on
+    // first touch, and stay writable.  64 MiB: 65536 clusters per
+    // shard.
     constexpr std::size_t kBytes = std::size_t{64} << 20;
     ResultCache cache(kBytes);
     ASSERT_EQ(cache.capacityBytes(), kBytes);
