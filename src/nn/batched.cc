@@ -14,6 +14,105 @@ namespace
 {
 
 /**
+ * changedLaneBoxes at compile-time lane width W.  One laneNeMask per
+ * element, ORed into the (n, h, w) row mask and the element's channel
+ * mask; each row mask is ORed into its n, h and w masks.  A lane's box
+ * is then the product of its bit's first and last index on each axis
+ * — its changed elements' bounding box, since a box is separable.
+ */
+template <int W>
+std::uint32_t
+changedLaneBoxesT(const LanePlane &plane, const Tensor &golden,
+                  const Region &region, const BatchCover *cover,
+                  std::vector<std::uint32_t> &masks, Region *boxes)
+{
+    const int extent[4] = {region.n1 - region.n0, region.h1 - region.h0,
+                           region.w1 - region.w0, region.c1 - region.c0};
+    masks.assign(static_cast<std::size_t>(extent[0]) + extent[1] +
+                     extent[2] + extent[3],
+                 0);
+    // Axis masks, indexed from the region's origin.
+    std::uint32_t *mn = masks.data();
+    std::uint32_t *mh = mn + extent[0];
+    std::uint32_t *mw = mh + extent[1];
+    std::uint32_t *mc = mw + extent[2];
+
+    const float *gd = golden.data().data();
+    const BatchCover::Span full{region.w0, region.w1};
+    const BatchCover::Span cfull{region.c0, region.c1};
+    const BatchCover::Span *csp = &cfull;
+    int ncs = 1;
+    if (cover)
+        csp = cover->chanSpans(ncs);
+    for (int n = region.n0; n < region.n1; ++n) {
+        std::uint32_t nMask = 0;
+        for (int h = region.h0; h < region.h1; ++h) {
+            const BatchCover::Span *sp = &full;
+            int nsp = 1;
+            if (cover)
+                sp = cover->row(n, h, nsp);
+            const std::size_t rowBase = golden.offset(n, h, 0, 0);
+            std::uint32_t hMask = 0;
+            for (int si = 0; si < nsp; ++si) {
+                for (int w = sp[si].w0; w < sp[si].w1; ++w) {
+                    std::uint32_t rowMask = 0;
+                    for (int cs = 0; cs < ncs; ++cs) {
+                        const std::size_t flat =
+                            rowBase +
+                            static_cast<std::size_t>(w) * golden.c() +
+                            csp[cs].w0;
+                        const float *g = gd + flat;
+                        const float *p = plane.lanes(flat);
+                        std::uint32_t *mcs = mc + (csp[cs].w0 - region.c0);
+                        const int len = csp[cs].w1 - csp[cs].w0;
+                        for (int i = 0; i < len; ++i, p += W) {
+                            const std::uint32_t m =
+                                simd::laneNeMask(p, g[i], W);
+                            rowMask |= m;
+                            mcs[i] |= m;
+                        }
+                    }
+                    mw[w - region.w0] |= rowMask;
+                    hMask |= rowMask;
+                }
+            }
+            mh[h - region.h0] |= hMask;
+            nMask |= hMask;
+        }
+        mn[n - region.n0] |= nMask;
+    }
+
+    // Per axis, each lane's first and last index with its bit set.
+    int lo[4][W], hi[4][W];
+    const std::uint32_t *axis[4] = {mn, mh, mw, mc};
+    const int start[4] = {region.n0, region.h0, region.w0, region.c0};
+    std::uint32_t live = 0;
+    for (int a = 0; a < 4; ++a) {
+        std::uint32_t seen = 0;
+        for (int i = 0; i < extent[a]; ++i) {
+            std::uint32_t fresh = axis[a][i] & ~seen;
+            seen |= fresh;
+            for (; fresh; fresh &= fresh - 1)
+                lo[a][std::countr_zero(fresh)] = start[a] + i;
+        }
+        seen = 0;
+        for (int i = extent[a] - 1; i >= 0; --i) {
+            std::uint32_t fresh = axis[a][i] & ~seen;
+            seen |= fresh;
+            for (; fresh; fresh &= fresh - 1)
+                hi[a][std::countr_zero(fresh)] = start[a] + i + 1;
+        }
+        live = seen; // the same lane set on every axis
+    }
+    for (std::uint32_t m = live; m; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        boxes[l] = Region{lo[0][l], hi[0][l], lo[1][l], hi[1][l],
+                          lo[2][l], hi[2][l], lo[3][l], hi[3][l]};
+    }
+    return live;
+}
+
+/**
  * The concrete engine.  BMAX is the structural lane count: every
  * LanePlane column holds BMAX floats and every kernel computes all BMAX
  * lanes, so unseeded / retired lanes simply recompute golden values —
@@ -46,11 +145,6 @@ class BatchedEngineT final : public BatchedEngine
     void resetTotals() override { totals_ = BatchedTotals{}; }
 
   private:
-    std::uint64_t fallbackLanes(const Layer &layer, const Tensor &golden,
-                                const std::vector<NodeId> &prods,
-                                NodeId id, std::uint32_t coneMask,
-                                std::array<Region, BMAX> &cones);
-
     IncrementalOptions opt_;
     BatchedTotals totals_;
 
@@ -68,11 +162,7 @@ class BatchedEngineT final : public BatchedEngine
     std::vector<const Tensor *> ins_;
     std::vector<LanePlane *> inPlanes_;
     BatchCover cover_;
-
-    // Per-lane fallback scratch (materialised inputs / output).
-    std::vector<Tensor> fbIn_;
-    Tensor fbOut_;
-    std::vector<const Tensor *> insLane_;
+    std::vector<std::uint32_t> scanMasks_; //!< changedLaneBoxes scratch
 
     Tensor outBuf_;
 };
@@ -234,192 +324,44 @@ BatchedEngineT<BMAX>::execute()
 
         LanePlane &plane = planes_[id];
         plane.ensure(golden, region);
-        if (layer.forwardRegionBatched(ins_, inPlanes_.data(), region,
-                                       cover, golden, plane)) {
-            ++totals_.layersBatchedKernel;
-            if (dense)
-                for (int l = 0; l < BMAX; ++l)
-                    if ((coneMask >> l) & 1u)
-                        cones[l] = region;
-            const std::uint64_t cells =
-                cover ? cover_.coveredCells() *
-                            static_cast<std::uint64_t>(
-                                cover_.coveredChans())
-                      : region.volume();
-            totals_.laneElements +=
-                cells * static_cast<std::uint64_t>(
-                            std::popcount(coneMask));
-        } else {
-            totals_.laneElements +=
-                fallbackLanes(layer, golden, prods, id, coneMask, cones);
-            ++totals_.layersLaneFallback;
-        }
+        panic_if(!layer.forwardRegionBatched(ins_, inPlanes_.data(),
+                                             region, cover, golden,
+                                             plane),
+                 "layer ", layer.name(), " declined a ", BMAX,
+                 "-lane batch");
+        ++totals_.layersBatchedKernel;
+        const std::uint64_t cells =
+            cover ? cover_.coveredCells() *
+                        static_cast<std::uint64_t>(cover_.coveredChans())
+                  : region.volume();
+        totals_.laneElements +=
+            cells * static_cast<std::uint64_t>(std::popcount(coneMask));
 
         if (opt_.earlyExit) {
             // Shrink every live lane to the box that actually changed.
             // Scanning the shared union region is equivalent to the
             // scalar per-cone scan: outside its own cone a lane
-            // provably recomputes golden bits, so it cannot light the
-            // mask there.
+            // provably recomputes golden bits, so it cannot differ
+            // there.
             std::array<Region, BMAX> diffs{};
-            const float *gd = golden.data().data();
-            const BatchCover::Span full{region.w0, region.w1};
-            const BatchCover::Span cfull{region.c0, region.c1};
-            const BatchCover::Span *csp = &cfull;
-            int ncs = 1;
-            if (cover)
-                csp = cover->chanSpans(ncs);
-            for (int n = region.n0; n < region.n1; ++n) {
-                for (int h = region.h0; h < region.h1; ++h) {
-                    const BatchCover::Span *sp = &full;
-                    int nsp = 1;
-                    if (cover)
-                        sp = cover->row(n, h, nsp);
-                    const std::size_t rowBase = golden.offset(n, h, 0, 0);
-                    for (int si = 0; si < nsp; ++si) {
-                    for (int w = sp[si].w0; w < sp[si].w1; ++w) {
-                        // Per (n, h, w) row, each lane's first and last
-                        // changed channel (the spans ascend); only
-                        // those two reach the lane's box, as in the
-                        // incremental engine's changedBox.
-                        std::uint32_t rowMask = 0;
-                        int first[BMAX], last[BMAX];
-                        for (int cs = 0; cs < ncs; ++cs) {
-                        std::size_t flat =
-                            rowBase +
-                            static_cast<std::size_t>(w) * golden.c() +
-                            csp[cs].w0;
-                        for (int c = csp[cs].w0; c < csp[cs].w1;
-                             ++c, ++flat) {
-                            std::uint32_t m =
-                                simd::laneNeMask(plane.lanes(flat),
-                                                 gd[flat], BMAX) &
-                                coneMask;
-                            if (!m)
-                                continue;
-                            std::uint32_t fresh = m & ~rowMask;
-                            rowMask |= m;
-                            while (fresh) {
-                                first[std::countr_zero(fresh)] = c;
-                                fresh &= fresh - 1;
-                            }
-                            while (m) {
-                                last[std::countr_zero(m)] = c;
-                                m &= m - 1;
-                            }
-                        }
-                        }
-                        while (rowMask) {
-                            int l = std::countr_zero(rowMask);
-                            rowMask &= rowMask - 1;
-                            diffs[l].include({n, h, w, first[l]});
-                            diffs[l].include({n, h, w, last[l]});
-                        }
-                    }
-                    }
-                }
-            }
-            std::uint32_t live = 0;
-            for (int l = 0; l < BMAX; ++l) {
-                if (!((coneMask >> l) & 1u) || diffs[l].empty())
-                    continue;
-                live |= 1u << l;
-                laneRegions_[id][l] = diffs[l];
-            }
+            const std::uint32_t live =
+                changedLaneBoxes(plane, golden, region, cover,
+                                 scanMasks_, diffs.data()) &
+                coneMask;
+            for (int l = 0; l < BMAX; ++l)
+                if ((live >> l) & 1u)
+                    laneRegions_[id][l] = diffs[l];
             dirtyMask_[id] = live;
         } else {
             dirtyMask_[id] = coneMask;
             for (int l = 0; l < BMAX; ++l)
                 if ((coneMask >> l) & 1u)
-                    laneRegions_[id][l] = cones[l];
+                    laneRegions_[id][l] = dense ? region : cones[l];
         }
     }
 
     outMask_ = dirtyMask_[out];
     totals_.lanesRetiredEarly += std::popcount(seeded_ & ~outMask_);
-}
-
-/**
- * Per-lane fallback for layers without a batched kernel (MatMulAB):
- * materialise each live lane's inputs as plain tensors, run the scalar
- * forwardRegion, and scatter the result back into the output plane's
- * lane column.  Each lane runs alone, so each decides dense vs cone
- * from its own cone, exactly as the scalar engine would — not from
- * the batch union, which scattered one-row cones push past the dense
- * threshold long before any single lane gets there.  A lane that goes
- * dense gets the full box in `cones`.  Returns the elements
- * recomputed, summed over lanes.
- */
-template <int BMAX>
-std::uint64_t
-BatchedEngineT<BMAX>::fallbackLanes(const Layer &layer,
-                                    const Tensor &golden,
-                                    const std::vector<NodeId> &prods,
-                                    NodeId id, std::uint32_t coneMask,
-                                    std::array<Region, BMAX> &cones)
-{
-    const std::vector<Tensor> &cached = *cached_;
-    if (fbIn_.size() < prods.size())
-        fbIn_.resize(prods.size());
-
-    std::uint64_t elements = 0;
-    for (int l = 0; l < BMAX; ++l) {
-        if (!((coneMask >> l) & 1u))
-            continue;
-        insLane_.clear();
-        for (std::size_t k = 0; k < prods.size(); ++k) {
-            NodeId in = prods[k];
-            if (!((dirtyMask_[in] >> l) & 1u)) {
-                insLane_.push_back(&cached[in]);
-                continue;
-            }
-            Tensor &buf = fbIn_[k];
-            buf = cached[in]; // capacity-reusing copy
-            const LanePlane &pp = planes_[in];
-            const Region &r = laneRegions_[in][l];
-            for (int n = r.n0; n < r.n1; ++n) {
-                for (int h = r.h0; h < r.h1; ++h) {
-                    for (int w = r.w0; w < r.w1; ++w) {
-                        std::size_t flat = buf.offset(n, h, w, r.c0);
-                        float *bd = buf.data().data();
-                        for (int c = r.c0; c < r.c1; ++c, ++flat)
-                            bd[flat] = pp.lanes(flat)[l];
-                    }
-                }
-            }
-            insLane_.push_back(&buf);
-        }
-
-        // The union's dense decision covers every lane's cone (a lane
-        // past the threshold pushes the union past it too), so the
-        // output plane is already valid wherever this lane writes.
-        Region &sc = cones[l];
-        const bool dense =
-            !opt_.enabled || sc.covers(golden) ||
-            static_cast<double>(sc.volume()) >=
-                opt_.denseThreshold * static_cast<double>(golden.size());
-        if (dense) {
-            sc = Region::full(golden);
-            fbOut_ = layer.forward(insLane_);
-        } else {
-            fbOut_ = golden; // capacity-reusing copy; patch the cone
-            layer.forwardRegion(insLane_, sc, fbOut_);
-        }
-        elements += sc.volume();
-
-        LanePlane &plane = planes_[id];
-        const float *od = fbOut_.data().data();
-        for (int n = sc.n0; n < sc.n1; ++n) {
-            for (int h = sc.h0; h < sc.h1; ++h) {
-                for (int w = sc.w0; w < sc.w1; ++w) {
-                    std::size_t flat = golden.offset(n, h, w, sc.c0);
-                    for (int c = sc.c0; c < sc.c1; ++c, ++flat)
-                        plane.lanes(flat)[l] = od[flat];
-                }
-            }
-        }
-    }
-    return elements;
 }
 
 template <int BMAX>
@@ -462,6 +404,24 @@ BatchedEngineT<BMAX>::laneOutput(int lane)
 }
 
 } // namespace
+
+std::uint32_t
+changedLaneBoxes(const LanePlane &plane, const Tensor &golden,
+                 const Region &region, const BatchCover *cover,
+                 std::vector<std::uint32_t> &masks, Region *boxes)
+{
+    if (region.empty())
+        return 0;
+    switch (plane.laneWidth()) {
+      case 4:
+        return changedLaneBoxesT<4>(plane, golden, region, cover, masks,
+                                    boxes);
+      case 8:
+        return changedLaneBoxesT<8>(plane, golden, region, cover, masks,
+                                    boxes);
+    }
+    panic("changedLaneBoxes: unsupported lane width ", plane.laneWidth());
+}
 
 std::unique_ptr<BatchedEngine>
 makeBatchedEngine(int width, const IncrementalOptions &opt)

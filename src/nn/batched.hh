@@ -13,13 +13,16 @@
  * padding — is computed once and shared across the batch, and the SIMD
  * lanes of the MAC kernels hold *injections* instead of output pixels.
  *
- * Per-lane dirty masks track which injections still carry a live delta
- * at each node; lanes whose delta dies (ReLU clipping, pooling,
- * quantisation) are retired from the diff bookkeeping without blocking
- * the batch.  Every lane's output is bit-identical to what the scalar
- * IncrementalEngine (and hence Network::forwardFrom) produces for that
- * injection alone, so campaign checksums are invariant under the batch
- * width.
+ * Every layer kind has a batched kernel (Layer::forwardRegionBatched),
+ * so each layer visit serves all lanes at once; there is no per-lane
+ * path.  Per-lane dirty masks track which injections still carry a
+ * live delta at each node: after each layer a separable diff scan
+ * (changedLaneBoxes) shrinks every lane to the box that changed, and
+ * lanes whose delta dies (ReLU clipping, pooling, quantisation) are
+ * retired from the bookkeeping without blocking the batch.  Every
+ * lane's output is bit-identical to what the scalar IncrementalEngine
+ * (and hence Network::forwardFrom) produces for that injection alone,
+ * so campaign checksums are invariant under the batch width.
  */
 
 #ifndef FIDELITY_NN_BATCHED_HH
@@ -48,7 +51,11 @@ struct BatchedTotals
     /** Layer visits served by a batched SoA kernel. */
     std::uint64_t layersBatchedKernel = 0;
 
-    /** Layer visits served by the per-lane forwardRegion fallback. */
+    /**
+     * Layer visits served per lane instead of by a batched kernel.
+     * Always 0 — every layer kind has a batched kernel — but the run
+     * manifest and perfbench still report it.
+     */
     std::uint64_t layersLaneFallback = 0;
 
     /** Downstream layers never touched (every lane's delta was dead). */
@@ -132,6 +139,21 @@ class BatchedEngine
     virtual const BatchedTotals &totals() const = 0;
     virtual void resetTotals() = 0;
 };
+
+/**
+ * The batched engine's diff scan: per lane, the bounding box of the
+ * elements of `region` whose lane value differs bitwise from `golden`
+ * (so +0/-0 and NaN payloads count as changes).  With `cover`, only
+ * its covered row spans and channel spans are scanned — elsewhere
+ * every lane holds golden bits by construction.  Returns the mask of
+ * lanes with a change and writes boxes[l] for each of them.  `masks`
+ * is reusable scratch (per-axis lane masks).
+ */
+std::uint32_t changedLaneBoxes(const LanePlane &plane, const Tensor &golden,
+                               const Region &region,
+                               const BatchCover *cover,
+                               std::vector<std::uint32_t> &masks,
+                               Region *boxes);
 
 /**
  * Build a batched engine whose lane count covers `width` (clamped to

@@ -149,15 +149,18 @@ convRegionInt(const simd::KernelTable &kt, const ConvSpec &spec,
  * 16) into `xg`, which the caller sizes to 2 * packPairs(redLen)
  * elements with the pad element (odd reductions) pre-zeroed; the
  * kernel never writes past redLen, so the pad survives re-use.  Exact
- * by the chunk bound, hence bit-identical to convRegionInt.
+ * by the chunk bound, hence bit-identical to convRegionInt.  A window
+ * holding a NaN operand (INT32_MIN, no int16 form) is declined: it is
+ * gathered again as int32 into `xgWide` (redLen elements) and runs
+ * through simd::narrowPackMacWide.
  */
 template <class LoadX, class WB>
 void
 convRegionNarrow(const simd::KernelTable &kt, const ConvSpec &spec,
                  int cpg, int opg, const std::int16_t *packed,
                  int chunkPairs, const Region &r, Tensor &out,
-                 std::int16_t *xg, std::int64_t *acc, LoadX loadX,
-                 WB wb)
+                 std::int16_t *xg, std::int32_t *xgWide,
+                 std::int64_t *acc, LoadX loadX, WB wb)
 {
     constexpr int L = simd::kNarrowLanes;
     const int blocksPerGroup = simd::packBlocks(opg, L);
@@ -174,22 +177,46 @@ convRegionNarrow(const simd::KernelTable &kt, const ConvSpec &spec,
             for (int ow = r.w0; ow < r.w1; ++ow) {
                 std::size_t base = out.offset(n, oh, ow, 0);
                 for (int g = g0; g <= g1; ++g) {
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                xg[t++] = static_cast<std::int16_t>(
-                                    loadX(n, ih, iw, ci));
+                    auto gather = [&](auto put) {
+                        std::size_t t = 0;
+                        for (int cig = 0; cig < cpg; ++cig) {
+                            int ci = g * cpg + cig;
+                            for (int kh = 0; kh < spec.kh; ++kh) {
+                                int ih = oh * spec.stride - spec.pad +
+                                         kh * spec.dilation;
+                                for (int kw = 0; kw < spec.kw; ++kw) {
+                                    int iw = ow * spec.stride -
+                                             spec.pad +
+                                             kw * spec.dilation;
+                                    put(t++, loadX(n, ih, iw, ci));
+                                }
                             }
                         }
-                    }
+                    };
+                    bool declined = false;
+                    gather([&](std::size_t t, std::int32_t q) {
+                        xg[t] = static_cast<std::int16_t>(q);
+                        declined |= simd::narrowDeclines(q);
+                    });
                     int lo = std::max(r.c0, g * opg);
                     int hi = std::min(r.c1, (g + 1) * opg);
+                    if (declined) {
+                        gather([&](std::size_t t, std::int32_t q) {
+                            xgWide[t] = q;
+                        });
+                        for (int oc = lo; oc < hi; ++oc) {
+                            const int ocg = oc - g * opg;
+                            std::int64_t a;
+                            simd::narrowPackMacWide(
+                                xgWide,
+                                packed + g * gStride +
+                                    (ocg / L) * blkStride +
+                                    (ocg % L) * 2,
+                                redLen, 2 * L, 1, 1, &a);
+                            out[base + oc] = wb(a, oc);
+                        }
+                        continue;
+                    }
                     int b0 = (lo - g * opg) / L;
                     int b1 = (hi - 1 - g * opg) / L;
                     kt.gemmNarrow(xg, redPairs, b1 - b0 + 1,
@@ -565,7 +592,7 @@ Conv2D::forward(const std::vector<const Tensor *> &ins) const
         integer || precision_ == Precision::FP32 ? 0 : x.size());
     auto xq = arena.ints(integer ? x.size() : 0);
     auto xgF = arena.floats(integer ? 0 : redLen);
-    auto xgI = arena.ints(integer && !narrow ? redLen : 0);
+    auto xgI = arena.ints(integer ? redLen : 0);
     auto xgN = arena.shorts(narrow ? 2 * redPairs : 0);
     auto accF = arena.floats(
         integer ? 0
@@ -612,7 +639,7 @@ Conv2D::forward(const std::vector<const Tensor *> &ins) const
         if (narrow)
             convRegionNarrow(kt, spec_, cpg, opg, wPackN_.data(),
                              chunkPairs_, full, out, xgN.data(),
-                             accL.data(), loadX, wb);
+                             xgI.data(), accL.data(), loadX, wb);
         else
             convRegionInt(kt, spec_, cpg, opg, wPackI_.data(), full,
                           out, xgI.data(), accL.data(), loadX, wb);
@@ -681,7 +708,7 @@ Conv2D::forwardRegion(const std::vector<const Tensor *> &ins,
     const int redPairs = simd::packPairs(redLen);
     Arena &arena = Arena::local();
     auto xgF = arena.floats(integer ? 0 : redLen);
-    auto xgI = arena.ints(integer && !narrow ? redLen : 0);
+    auto xgI = arena.ints(integer ? redLen : 0);
     auto xgN = arena.shorts(narrow ? 2 * redPairs : 0);
     auto accF = arena.floats(
         integer ? 0 : simd::packSize(1, opg, simd::kF32Lanes));
@@ -717,7 +744,7 @@ Conv2D::forwardRegion(const std::vector<const Tensor *> &ins,
         if (narrow)
             convRegionNarrow(kt, spec_, cpg, opg, wPackN_.data(),
                              chunkPairs_, region, out, xgN.data(),
-                             accL.data(), loadX, wb);
+                             xgI.data(), accL.data(), loadX, wb);
         else
             convRegionInt(kt, spec_, cpg, opg, wPackI_.data(), region,
                           out, xgI.data(), accL.data(), loadX, wb);
@@ -794,7 +821,7 @@ Conv2D::forwardWithSub(const std::vector<const Tensor *> &ins,
     const int redPairs = simd::packPairs(redLen);
     Arena &arena = Arena::local();
     auto xgF = arena.floats(integer ? 0 : redLen);
-    auto xgI = arena.ints(integer && !narrow ? redLen : 0);
+    auto xgI = arena.ints(integer ? redLen : 0);
     auto xgN = arena.shorts(narrow ? 2 * redPairs : 0);
     auto accF = arena.floats(
         integer ? 0 : simd::packSize(1, opg, simd::kF32Lanes));
@@ -833,7 +860,8 @@ Conv2D::forwardWithSub(const std::vector<const Tensor *> &ins,
             if (narrow)
                 convRegionNarrow(kt, spec_, cpg, opg, wPackN_.data(),
                                  chunkPairs_, boxes[i], out,
-                                 xgN.data(), accL.data(), loadX, wb);
+                                 xgN.data(), xgI.data(), accL.data(),
+                                 loadX, wb);
             else
                 convRegionInt(kt, spec_, cpg, opg, wPackI_.data(),
                               boxes[i], out, xgI.data(), accL.data(),
@@ -1080,8 +1108,8 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
     const int redPairs = simd::packPairs(redLen);
     Arena &arena = Arena::local();
     auto xgF = arena.floats(integer ? 0 : static_cast<std::size_t>(redLen) * W);
-    auto xgI = arena.ints(
-        integer && !narrow ? static_cast<std::size_t>(redLen) * W : 0);
+    auto xgI =
+        arena.ints(integer ? static_cast<std::size_t>(redLen) * W : 0);
     auto xgN = arena.shorts(
         narrow ? static_cast<std::size_t>(2 * redPairs) * W : 0);
     if (narrow && 2 * redPairs > redLen)
@@ -1195,7 +1223,19 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
         auto wb = [&](int oc, int nc, float *op) {
             writebackRun(acc, nc, W, biasAt(oc), op);
         };
+        auto loadWide = [&](std::int32_t *dst, std::size_t stride,
+                            std::ptrdiff_t src, int count) {
+            if (src < 0) {
+                for (int i = 0; i < count; ++i, dst += stride)
+                    std::fill_n(dst, W, zero_q);
+                return;
+            }
+            const std::int32_t *s = xsrc + src * W;
+            for (int i = 0; i < count; ++i, dst += stride, s += W)
+                std::memcpy(dst, s, W * sizeof(std::int32_t));
+        };
         if (narrow) {
+            bool declined = false;
             auto loadG = [&](std::int16_t *dst, std::size_t stride,
                              std::ptrdiff_t src, int count) {
                 if (src < 0) {
@@ -1205,9 +1245,13 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
                     return;
                 }
                 const std::int32_t *s = xsrc + src * W;
+                unsigned nan = 0;
                 for (int i = 0; i < count; ++i, dst += stride, s += W)
-                    for (int l = 0; l < W; ++l)
+                    for (int l = 0; l < W; ++l) {
                         dst[l] = static_cast<std::int16_t>(s[l]);
+                        nan |= simd::narrowDeclines(s[l]);
+                    }
+                declined |= nan != 0;
             };
             // Exact by the chunk bound, hence bit-identical to the
             // wide path.  xgN holds 2 * redPairs rows; the pad row of
@@ -1218,30 +1262,34 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
                 static_cast<std::size_t>(redPairs) * 2 * PL;
             const std::size_t gStride =
                 simd::packBlocks(opg, PL) * blkStride;
+            auto wAt = [&](int g, int ocg) {
+                return wPackN_.data() + g * gStride +
+                       (ocg / PL) * blkStride + (ocg % PL) * 2;
+            };
             convBatched<W, PL>(
                 spec_, cpg, opg, region, cover, x, golden, xgN.data(),
                 loadG, [&](int g, int oc, int ocg, int nc,
                            std::size_t flat) {
-                    kt.batchMacNarrow(xgN.data(),
-                                      wPackN_.data() + g * gStride +
-                                          (ocg / PL) * blkStride +
-                                          (ocg % PL) * 2,
-                                      redPairs, PL * 2, chunkPairs_, W,
-                                      nc, acc);
+                    kt.batchMacNarrow(xgN.data(), wAt(g, ocg), redPairs,
+                                      PL * 2, chunkPairs_, W, nc, acc);
                     wb(oc, nc, out.lanes(flat));
                 });
+            if (declined) {
+                // Some window held a NaN operand (INT32_MIN, no int16
+                // form): the narrow kernels decline it, so the call
+                // reruns wide over the same pack, exact for every row.
+                convBatched<W, PL>(
+                    spec_, cpg, opg, region, cover, x, golden,
+                    xgI.data(), loadWide,
+                    [&](int g, int oc, int ocg, int nc,
+                        std::size_t flat) {
+                        simd::narrowPackMacWide(xgI.data(), wAt(g, ocg),
+                                                redLen, PL * 2, W, nc,
+                                                acc);
+                        wb(oc, nc, out.lanes(flat));
+                    });
+            }
         } else {
-            auto loadG = [&](std::int32_t *dst, std::size_t stride,
-                             std::ptrdiff_t src, int count) {
-                if (src < 0) {
-                    for (int i = 0; i < count; ++i, dst += stride)
-                        std::fill_n(dst, W, zero_q);
-                    return;
-                }
-                const std::int32_t *s = xsrc + src * W;
-                for (int i = 0; i < count; ++i, dst += stride, s += W)
-                    std::memcpy(dst, s, W * sizeof(std::int32_t));
-            };
             // The weight scalar and the lane-operand pointer swap
             // roles relative to the channel kernel — multiplication
             // commutes, so the lane-minor MAC row is the exact
@@ -1253,7 +1301,7 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
                 simd::packBlocks(opg, PL) * blkStride;
             convBatched<W, PL>(
                 spec_, cpg, opg, region, cover, x, golden, xgI.data(),
-                loadG, [&](int g, int oc, int ocg, int nc,
+                loadWide, [&](int g, int oc, int ocg, int nc,
                            std::size_t flat) {
                     kt.batchMacI64(xgI.data(),
                                    wPackI_.data() + g * gStride +

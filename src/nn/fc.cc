@@ -241,12 +241,12 @@ FC::forwardRegion(const std::vector<const Tensor *> &ins,
         if (integer) {
             simd::quantizeBatch(xf, xq.data(), n, inQuant_);
             if (narrow) {
-                for (std::size_t i = 0; i < n; ++i)
-                    xn[i] = static_cast<std::int16_t>(xq[i]);
+                const bool declined =
+                    simd::narrowOperands(xq.data(), xn.data(), n);
                 xn[n] = 0;
-                simd::denseNarrow(kt, xn.data(), np, inC_, units_, c0,
-                                  c1, wPackN_.data(), chunkPairs_,
-                                  accL.data(), o, wbInt);
+                simd::denseNarrow(kt, xn.data(), xq.data(), declined, np,
+                                  inC_, units_, c0, c1, wPackN_.data(),
+                                  chunkPairs_, accL.data(), o, wbInt);
             } else {
                 simd::denseInt(kt, xq.data(), np, inC_, units_, c0, c1,
                                wPackI_.data(), accL.data(), o, wbInt);
@@ -337,23 +337,29 @@ FC::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
     const simd::KernelTable &kt = simd::table();
     if (narrow) {
         // Exact by the chunk bound, hence bit-identical to the wide
-        // path; the pad row of an odd reduction was zeroed above.
+        // path; the pad row of an odd reduction was zeroed above.  A
+        // row holding a NaN operand is declined and runs wide.
         constexpr int PL = simd::kNarrowLanes;
         const std::size_t blkStride =
             static_cast<std::size_t>(redPairs) * 2 * PL;
+        bool declined = false;
         walk(
             PL,
             [&](const float *row) {
                 simd::quantizeBatch(row, xsI.data(), rowLen, inQuant_);
-                for (std::size_t i = 0; i < rowLen; ++i)
-                    xsN[i] = static_cast<std::int16_t>(xsI[i]);
+                declined =
+                    simd::narrowOperands(xsI.data(), xsN.data(), rowLen);
             },
             [&](int u, int nc, float *op) {
-                kt.batchMacNarrow(xsN.data(),
-                                  wPackN_.data() + (u / PL) * blkStride +
-                                      (u % PL) * 2,
-                                  redPairs, PL * 2, chunkPairs_, W, nc,
-                                  acc);
+                const std::int16_t *w = wPackN_.data() +
+                                        (u / PL) * blkStride +
+                                        (u % PL) * 2;
+                if (declined)
+                    simd::narrowPackMacWide(xsI.data(), w, inC_, PL * 2,
+                                            W, nc, acc);
+                else
+                    kt.batchMacNarrow(xsN.data(), w, redPairs, PL * 2,
+                                      chunkPairs_, W, nc, acc);
                 writebackRun(acc, nc, W, biasAt(u), op);
             });
     } else if (integer) {

@@ -75,15 +75,6 @@ Layer::calibrate(const std::vector<const Tensor *> &, const Tensor &)
 {
 }
 
-bool
-Layer::forwardRegionBatched(const std::vector<const Tensor *> &,
-                            LanePlane *const *, const Region &,
-                            const BatchCover *, const Tensor &,
-                            LanePlane &) const
-{
-    return false;
-}
-
 MacLayer::MacLayer(std::string name)
     : Layer(std::move(name))
 {
@@ -199,8 +190,13 @@ MacLayer::writeback(double acc, float bias) const
 }
 
 void
-MacLayer::writebackRun(float *op, int nc, int W, const float *bias) const
+MacLayer::writebackRun(float *op, int nc, int W, const float *bias,
+                       float scale) const
 {
+    const std::size_t n = static_cast<std::size_t>(nc) * W;
+    if (scale != 1.0f)
+        for (std::size_t i = 0; i < n; ++i)
+            op[i] = static_cast<float>(static_cast<double>(op[i]) * scale);
     // A missing bias adds +0.0f, exactly as writeback() does.
     for (int c = 0; c < nc; ++c) {
         const float b = bias ? bias[c] : 0.0f;
@@ -208,12 +204,12 @@ MacLayer::writebackRun(float *op, int nc, int W, const float *bias) const
             op[c * W + l] += b;
     }
     if (precision_ == Precision::FP16)
-        simd::roundToHalfBatch(op, op, static_cast<std::size_t>(nc) * W);
+        simd::roundToHalfBatch(op, op, n);
 }
 
 void
 MacLayer::writebackRun(const std::int64_t *acc, int nc, int W,
-                       const float *bias, float *op) const
+                       const float *bias, float *op, float scale) const
 {
     // Splitting writeback into real-value, batch-quantise, dequantise
     // steps keeps each lane's arithmetic exactly the scalar sequence;
@@ -228,7 +224,8 @@ MacLayer::writebackRun(const std::int64_t *acc, int nc, int W,
         for (int l = 0; l < W; ++l)
             real[c * W + l] =
                 static_cast<float>(static_cast<double>(acc[c * W + l]) *
-                                   inQuant_.scale * wQuant_.scale) +
+                                   inQuant_.scale * wQuant_.scale *
+                                   scale) +
                 b;
     }
     simd::quantizeBatch(real, q, static_cast<std::size_t>(nc) * W,

@@ -179,15 +179,15 @@ class Layer
      * kernels walk only the covered row spans (skipped cells keep the
      * plane's golden fill).  Every written lane value must be
      * bit-identical to what forwardRegion would produce from that
-     * lane's inputs.  Returns false when the layer has no batched path
-     * (the engine then falls back to per-lane forwardRegion); the
-     * default has none.
+     * lane's inputs.  Every layer has a batched kernel; it returns
+     * true unless the plane's lane width is not one the engine builds
+     * (4 or 8), which the engine treats as a bug.
      */
     virtual bool
     forwardRegionBatched(const std::vector<const Tensor *> &ins,
                          LanePlane *const *inPlanes, const Region &region,
                          const BatchCover *cover, const Tensor &golden,
-                         LanePlane &out) const;
+                         LanePlane &out) const = 0;
 
     /** Set the execution precision (refreshes precision-derived state). */
     void
@@ -308,12 +308,16 @@ class MacLayer : public Layer
      * form adds the bias in place to the accumulators the kernel wrote
      * into `op` and rounds the run as one batch; the integer form
      * scales int64 accumulators left-associated like computeNeuron and
-     * requantises the run as one batch.  Each element is identical to
+     * requantises the run as one batch.  `scale` multiplies the
+     * accumulator first, as writeback(acc * scale, bias) does for
+     * MatMulAB's output scaling.  Each element is identical to
      * writeback().  nc * W is at most kNarrowLanes * kMaxBatchLanes.
      */
-    void writebackRun(float *op, int nc, int W, const float *bias) const;
+    void writebackRun(float *op, int nc, int W, const float *bias,
+                      float scale = 1.0f) const;
     void writebackRun(const std::int64_t *acc, int nc, int W,
-                      const float *bias, float *op) const;
+                      const float *bias, float *op,
+                      float scale = 1.0f) const;
 
     /** Apply a PsumFlip substitution to a floating accumulator. */
     static float psumFlipFloat(float acc, std::uint32_t mask);

@@ -1,7 +1,10 @@
 #include "nn/matmul.hh"
 
+#include <algorithm>
 #include <limits>
+#include <type_traits>
 
+#include "nn/lanes.hh"
 #include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "simd/convert.hh"
@@ -196,12 +199,12 @@ MatMulAB::forwardRegion(const std::vector<const Tensor *> &ins,
                 const std::size_t n = np * red;
                 simd::quantizeBatch(ad + p0 * red, aq.data(), n,
                                     inQuant_);
-                for (std::size_t i = 0; i < n; ++i)
-                    an[i] = static_cast<std::int16_t>(aq[i]);
+                const bool declined =
+                    simd::narrowOperands(aq.data(), an.data(), n);
                 an[n] = 0;
-                simd::denseNarrow(kt, an.data(), np, red, cols, c0, c1,
-                                  bp.data(), chunk, accL.data(),
-                                  od + p0 * cols, wb);
+                simd::denseNarrow(kt, an.data(), aq.data(), declined, np,
+                                  red, cols, c0, c1, bp.data(), chunk,
+                                  accL.data(), od + p0 * cols, wb);
             });
         } else {
             constexpr int L = simd::kI64Lanes;
@@ -249,6 +252,185 @@ MatMulAB::forwardRegion(const std::vector<const Tensor *> &ins,
                              });
         });
     }
+}
+
+namespace
+{
+
+/**
+ * Integer lane-wise MAC rows, the int64 twin of simd laneMacF32:
+ * acc[c*W + l] = sum_k (int64)a[k*W + l] * b[c*bcol + k*bstride + l].
+ * Exact, so a NaN operand's INT32_MIN multiplies as computeNeuron()
+ * multiplies it — there is no narrow path to decline.
+ */
+template <int W>
+void
+laneMacI64(const std::int32_t *a, const std::int32_t *b, int red,
+           std::size_t bstride, std::size_t bcol, int nc,
+           std::int64_t *acc)
+{
+    std::fill_n(acc, nc * W, std::int64_t{0});
+    for (int k = 0; k < red; ++k) {
+        const std::int32_t *ak = a + k * W;
+        const std::int32_t *bk = b + k * bstride;
+        for (int c = 0; c < nc; ++c)
+            for (int l = 0; l < W; ++l)
+                acc[c * W + l] += static_cast<std::int64_t>(ak[l]) *
+                                  bk[c * bcol + l];
+    }
+}
+
+} // namespace
+
+template <int W, class T>
+void
+MatMulAB::forwardBatchedImpl(const std::vector<const Tensor *> &ins,
+                             LanePlane *const *inPlanes,
+                             const Region &region, const BatchCover *cover,
+                             const Tensor &golden, LanePlane &out) const
+{
+    // Attention lanes usually carry both operands dirty (a fault ahead
+    // of the block reaches Q, K and V), so the kernel multiplies two
+    // lane rows element by element: acc[l] += A[i,k][l] * B[c,k][l].
+    // Each operand is staged as lane-minor stored-form values
+    // x[e*W + l]: a plane that holds lane values (its input is dirty
+    // in some lane; clean lanes hold golden bits there) is read in
+    // place when already in stored form and converted otherwise; an
+    // input with no lane values broadcasts its golden tensor.
+    constexpr bool kInt = std::is_same_v<T, std::int32_t>;
+    const Tensor &a = *ins[0];
+    const Tensor &b = *ins[1];
+    LanePlane &ap = *inPlanes[0];
+    LanePlane &bp = *inPlanes[1];
+    const int red = a.c();
+    const int cols = golden.c();
+    lastReduction_.store(red, std::memory_order_relaxed);
+    if (!ap.valid().empty())
+        ap.ensure(a, Region{region.n0, region.n1, region.h0, region.h1,
+                            0, 1, 0, red});
+    if (!bp.valid().empty())
+        bp.ensure(b, Region::full(b));
+
+    Arena &arena = Arena::local();
+    auto lease = [&arena](std::size_t n) {
+        if constexpr (kInt)
+            return arena.ints(n);
+        else
+            return arena.floats(n);
+    };
+    auto stage = [&](const Tensor &t, const LanePlane &p,
+                     const QuantParams &q, std::size_t off,
+                     std::size_t len, T *dst) -> const T * {
+        if (!p.valid().empty()) {
+            const float *src = p.lanes(off);
+            if constexpr (kInt) {
+                simd::quantizeBatch(src, dst, len * W, q);
+                return dst;
+            } else {
+                if (precision_ != Precision::FP16 || p.storedForm())
+                    return src;
+                simd::roundToHalfBatch(src, dst, len * W);
+                return dst;
+            }
+        }
+        const float *src = t.data().data() + off;
+        if constexpr (kInt)
+            simd::quantizeBatch(src, dst, len, q);
+        else if (precision_ == Precision::FP16)
+            simd::roundToHalfBatch(src, dst, len);
+        else
+            std::copy(src, src + len, dst);
+        // Spread each value over its W lanes, last element first so
+        // no value is overwritten before it is read.
+        for (std::size_t e = len; e-- > 0;) {
+            const T v = dst[e];
+            for (int l = 0; l < W; ++l)
+                dst[e * W + l] = v;
+        }
+        return dst;
+    };
+
+    // B whole, once per call; then one A row per covered output row.
+    // B[c, k] sits at c*bcol + k*bstride lane rows from B's origin.
+    auto bS = lease(b.size() * W);
+    const T *bsrc = stage(b, bp, wQuant_, 0, b.size(), bS.data());
+    const std::size_t bstride =
+        transB_ ? W : static_cast<std::size_t>(cols) * W;
+    const std::size_t bcol =
+        transB_ ? static_cast<std::size_t>(red) * W : W;
+    auto aS = lease(static_cast<std::size_t>(red) * W);
+
+    const BatchCover::Span cfull{region.c0, region.c1};
+    const BatchCover::Span *csp = &cfull;
+    int ncs = 1;
+    if (cover)
+        csp = cover->chanSpans(ncs);
+    // Column runs stay within one integer writeback run.
+    constexpr int kRun = simd::kNarrowLanes;
+    std::int64_t acc[kRun * W];
+    const simd::KernelTable &kt = simd::table();
+    for (int n = region.n0; n < region.n1; ++n) {
+        for (int h = region.h0; h < region.h1; ++h) {
+            if (cover) {
+                int nsp = 0;
+                cover->row(n, h, nsp);
+                if (nsp == 0)
+                    continue;
+            }
+            const T *arow =
+                stage(a, ap, inQuant_, a.offset(n, h, 0, 0), red,
+                      aS.data());
+            const std::size_t flat = golden.offset(n, h, 0, 0);
+            for (int cs = 0; cs < ncs; ++cs) {
+                for (int c = csp[cs].w0; c < csp[cs].w1; c += kRun) {
+                    const int nc = std::min(kRun, csp[cs].w1 - c);
+                    float *op = out.lanes(flat + c);
+                    if constexpr (kInt) {
+                        laneMacI64<W>(arow, bsrc + c * bcol, red, bstride,
+                                      bcol, nc, acc);
+                        writebackRun(acc, nc, W, nullptr, op, scale_);
+                    } else {
+                        kt.laneMacF32(arow, bsrc + c * bcol, red, bstride,
+                                      bcol, W, nc, op);
+                        writebackRun(op, nc, W, nullptr, scale_);
+                    }
+                }
+            }
+        }
+    }
+}
+
+bool
+MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                               LanePlane *const *inPlanes,
+                               const Region &region,
+                               const BatchCover *cover,
+                               const Tensor &golden, LanePlane &out) const
+{
+    checkInputs(ins);
+    if (region.empty())
+        return true;
+    const bool integer = precision_ == Precision::INT8 ||
+                         precision_ == Precision::INT16;
+    switch (out.laneWidth()) {
+      case 4:
+        if (integer)
+            forwardBatchedImpl<4, std::int32_t>(ins, inPlanes, region,
+                                                cover, golden, out);
+        else
+            forwardBatchedImpl<4, float>(ins, inPlanes, region, cover,
+                                         golden, out);
+        return true;
+      case 8:
+        if (integer)
+            forwardBatchedImpl<8, std::int32_t>(ins, inPlanes, region,
+                                                cover, golden, out);
+        else
+            forwardBatchedImpl<8, float>(ins, inPlanes, region, cover,
+                                         golden, out);
+        return true;
+    }
+    return false;
 }
 
 std::size_t

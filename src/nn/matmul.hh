@@ -56,6 +56,16 @@ class MatMulAB : public MacLayer
     void forwardRegion(const std::vector<const Tensor *> &ins,
                        const Region &region, Tensor &out) const override;
 
+    /** Lanes over injections: lane-wise MAC rows, each operand read
+     *  per lane where its plane holds lane values, else broadcast
+     *  from the golden tensor. */
+    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                              LanePlane *const *inPlanes,
+                              const Region &region,
+                              const BatchCover *cover,
+                              const Tensor &golden,
+                              LanePlane &out) const override;
+
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
     float weightAt(const std::vector<const Tensor *> &ins,
@@ -81,6 +91,14 @@ class MatMulAB : public MacLayer
 
   private:
     void checkInputs(const std::vector<const Tensor *> &ins) const;
+
+    /** forwardRegionBatched at lane width W over stored-form operands
+     *  of type T (float, or int32 in the integer modes). */
+    template <int W, class T>
+    void forwardBatchedImpl(const std::vector<const Tensor *> &ins,
+                            LanePlane *const *inPlanes,
+                            const Region &region, const BatchCover *cover,
+                            const Tensor &golden, LanePlane &out) const;
 
     bool transB_;
     float scale_;

@@ -20,6 +20,7 @@
 #ifndef FIDELITY_SIMD_GEMM_HH
 #define FIDELITY_SIMD_GEMM_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -79,25 +80,38 @@ denseInt(const KernelTable &kt, const std::int32_t *xq,
  * one element past the final position (odd reductions read a padded
  * pair whose weight is zero — the caller allocates n + 1 elements
  * with the extra one zeroed).  Exact by the chunk bound, so results
- * are bit-identical to denseInt and computeNeuron().
+ * are bit-identical to denseInt and computeNeuron().  With `declined`
+ * (narrowOperands found an INT32_MIN), positions whose int32 row `xq`
+ * holds one run through narrowPackMacWide instead.
  */
 template <class WB>
 void
 denseNarrow(const KernelTable &kt, const std::int16_t *xs,
-            std::size_t positions, int red, int cols, int c0, int c1,
-            const std::int16_t *packed, int chunkPairs,
-            std::int64_t *acc, float *out, WB wb)
+            const std::int32_t *xq, bool declined, std::size_t positions,
+            int red, int cols, int c0, int c1, const std::int16_t *packed,
+            int chunkPairs, std::int64_t *acc, float *out, WB wb)
 {
     constexpr int L = kNarrowLanes;
     const int b0 = c0 / L;
     const int blocks = (c1 - 1) / L - b0 + 1;
     const int redPairs = packPairs(red);
-    const std::int16_t *pk =
-        packed + static_cast<std::size_t>(b0) * redPairs * 2 * L;
+    const std::size_t blkStride = static_cast<std::size_t>(redPairs) * 2 * L;
+    const std::int16_t *pk = packed + b0 * blkStride;
     for (std::size_t pos = 0; pos < positions; ++pos) {
+        float *ob = out + pos * cols;
+        const std::int32_t *row = xq + pos * red;
+        if (declined && std::any_of(row, row + red, narrowDeclines)) {
+            for (int c = c0; c < c1; ++c) {
+                std::int64_t a;
+                narrowPackMacWide(row, packed + (c / L) * blkStride +
+                                           (c % L) * 2,
+                                  red, 2 * L, 1, 1, &a);
+                ob[c] = wb(a, c);
+            }
+            continue;
+        }
         kt.gemmNarrow(xs + pos * red, redPairs, blocks, pk, chunkPairs,
                       acc);
-        float *ob = out + pos * cols;
         for (int c = c0; c < c1; ++c)
             ob[c] = wb(acc[c - b0 * L], c);
     }

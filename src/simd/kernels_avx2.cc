@@ -25,6 +25,7 @@ kernelTableAvx2()
         &batchMacF32T<Avx2Backend, Sse2Backend>,
         &batchMacI64T<Avx2Backend>,
         &batchMacNarrowAvx2K,
+        &laneMacF32T<Avx2Backend, Sse2Backend>,
         &addF32T<Avx2Backend>,
         &subF32T<Avx2Backend>,
         &mulF32T<Avx2Backend>,

@@ -655,6 +655,58 @@ batchMacF32T(const float *xg, const float *w, std::size_t red,
     batchMacF32W<Scalar1>(xg, w, red, wstride, W, ncols, acc);
 }
 
+/** NC columns of the L-lane slice at j, both operands per lane: NC
+ *  chains over one `a` load and NC `b` loads per k. */
+template <class B, int NC>
+inline void
+laneMacF32Cols(const float *a, const float *b, std::size_t red,
+               std::size_t bstride, std::size_t bcol, int W, int j,
+               float *acc)
+{
+    typename B::F32 s[NC];
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c)
+        s[c] = B::f32zero();
+    for (std::size_t k = 0; k < red; ++k) {
+        const auto x = B::f32load(a + k * W + j);
+        const float *bk = b + k * bstride + j;
+        #pragma GCC unroll 4
+        for (int c = 0; c < NC; ++c)
+            s[c] = B::f32mulAcc(s[c], x, B::f32load(bk + c * bcol));
+    }
+    #pragma GCC unroll 4
+    for (int c = 0; c < NC; ++c)
+        B::f32store(acc + c * W + j, s[c]);
+}
+
+template <class B>
+void
+laneMacF32W(const float *a, const float *b, std::size_t red,
+            std::size_t bstride, std::size_t bcol, int W, int ncols,
+            float *acc)
+{
+    forColGroups(ncols, [&](auto nc, int c0) {
+        for (int j = 0; j < W; j += B::kF32W)
+            laneMacF32Cols<B, decltype(nc)::value>(
+                a, b + c0 * bcol, red, bstride, bcol, W, j,
+                acc + c0 * W);
+    });
+}
+
+/** Full-width backend when W divides, half-width else, scalar last. */
+template <class B, class BH>
+void
+laneMacF32T(const float *a, const float *b, std::size_t red,
+            std::size_t bstride, std::size_t bcol, int W, int ncols,
+            float *acc)
+{
+    if (W % B::kF32W == 0)
+        return laneMacF32W<B>(a, b, red, bstride, bcol, W, ncols, acc);
+    if (W % BH::kF32W == 0)
+        return laneMacF32W<BH>(a, b, red, bstride, bcol, W, ncols, acc);
+    laneMacF32W<Scalar1>(a, b, red, bstride, bcol, W, ncols, acc);
+}
+
 /** Wide-int twin of batchMacF32Cols (exact integer chains). */
 template <class B, int NC>
 inline void

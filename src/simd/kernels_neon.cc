@@ -24,6 +24,7 @@ kernelTableNeon()
         &batchMacF32T<NeonBackend, NeonBackend>,
         &batchMacI64T<NeonBackend>,
         &batchMacNarrowScalarK,
+        &laneMacF32T<NeonBackend, NeonBackend>,
         &addF32T<NeonBackend>,
         &subF32T<NeonBackend>,
         &mulF32T<NeonBackend>,

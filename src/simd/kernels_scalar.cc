@@ -22,6 +22,7 @@ kernelTableScalar()
         &batchMacF32T<Scalar8, Scalar4>,
         &batchMacI64T<Scalar4>,
         &batchMacNarrowScalarK,
+        &laneMacF32T<Scalar8, Scalar4>,
         &addF32T<Scalar8>,
         &subF32T<Scalar8>,
         &mulF32T<Scalar8>,

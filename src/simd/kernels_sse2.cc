@@ -25,6 +25,7 @@ kernelTableSse2()
         &batchMacF32T<Sse2Backend, Sse2Backend>,
         &batchMacI64T<Scalar4>,
         &batchMacNarrowSse2K,
+        &laneMacF32T<Sse2Backend, Sse2Backend>,
         &addF32T<Sse2Backend>,
         &subF32T<Sse2Backend>,
         &mulF32T<Sse2Backend>,

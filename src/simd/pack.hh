@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "simd/simd.hh"
 
@@ -146,6 +147,55 @@ inline bool
 narrowEligible(int chunkPairs)
 {
     return chunkPairs >= kNarrowMinChunk;
+}
+
+/**
+ * Wide int64 MAC rows over the narrow pack, for operand rows the
+ * narrow kernels must decline: INT32_MIN, the quantisation of NaN,
+ * has no int16 form (narrowing would drop the term computeNeuron()
+ * multiplies).  acc[c*W + l] = sum_k (int64)xg[k*W + l] *
+ * w[2c + (k/2)*wstride + k%2] for c in [0, ncols), l in [0, W) —
+ * batchMacNarrow's column addressing over the int32 operands (a
+ * dense row is W = 1, wstride = 2 * kNarrowLanes).  Exact, hence
+ * equal to the wide kernels; scalar, since only NaN rows reach it.
+ */
+inline void
+narrowPackMacWide(const std::int32_t *xg, const std::int16_t *w, int red,
+                  std::size_t wstride, int W, int ncols,
+                  std::int64_t *acc)
+{
+    for (int c = 0; c < ncols; ++c) {
+        for (int l = 0; l < W; ++l) {
+            std::int64_t s = 0;
+            for (int k = 0; k < red; ++k)
+                s += static_cast<std::int64_t>(xg[k * W + l]) *
+                     w[2 * c + (k / 2) * wstride + k % 2];
+            acc[c * W + l] = s;
+        }
+    }
+}
+
+/** Whether a quantised operand is INT32_MIN (a NaN, which the narrow
+ *  kernels decline — see narrowPackMacWide). */
+inline bool
+narrowDeclines(std::int32_t q)
+{
+    return q == std::numeric_limits<std::int32_t>::min();
+}
+
+/**
+ * Narrow xq[0, n) to int16 into xn; returns whether any element must
+ * be declined (narrowDeclines), so the caller re-runs its rows wide.
+ */
+inline bool
+narrowOperands(const std::int32_t *xq, std::int16_t *xn, std::size_t n)
+{
+    unsigned declined = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        xn[i] = static_cast<std::int16_t>(xq[i]);
+        declined |= narrowDeclines(xq[i]);
+    }
+    return declined != 0;
 }
 
 } // namespace fidelity::simd

@@ -148,6 +148,18 @@ struct KernelTable
                            int chunkPairs, int W, int ncols,
                            std::int64_t *acc);
 
+    /**
+     * Lane-wise batched MAC rows (fault-batched engine, both operands
+     * per lane): acc[c*W + l] = sum_k a[k*W + l] *
+     * b[c*bcol + k*bstride + l] for c in [0, ncols), l in [0, W).
+     * Every lane accumulates a-times-b products in canonical k order
+     * with unfused multiply-adds; up to four columns run as
+     * independent accumulator chains over one `a` load per k.
+     */
+    void (*laneMacF32)(const float *a, const float *b, std::size_t red,
+                       std::size_t bstride, std::size_t bcol, int W,
+                       int ncols, float *acc);
+
     // Streaming elementwise maps (whole range, scalar tail inside).
     void (*addF32)(const float *a, const float *b, float *o, std::size_t n);
     void (*subF32)(const float *a, const float *b, float *o, std::size_t n);

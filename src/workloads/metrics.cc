@@ -29,23 +29,23 @@ top1Metric()
 std::vector<int>
 decodeTokens(const Tensor &out)
 {
+    // One token per (n, h, w) row: the first index of the row's max.
+    const std::size_t rows =
+        static_cast<std::size_t>(out.n()) * out.h() * out.w();
+    const int vocab = out.c();
     std::vector<int> tokens;
-    tokens.reserve(static_cast<std::size_t>(out.n()) * out.h() * out.w());
-    for (int n = 0; n < out.n(); ++n) {
-        for (int h = 0; h < out.h(); ++h) {
-            for (int w = 0; w < out.w(); ++w) {
-                int best = 0;
-                float best_v = out.at(n, h, w, 0);
-                for (int c = 1; c < out.c(); ++c) {
-                    float v = out.at(n, h, w, c);
-                    if (v > best_v) {
-                        best_v = v;
-                        best = c;
-                    }
-                }
-                tokens.push_back(best);
+    tokens.reserve(rows);
+    const float *row = out.data().data();
+    for (std::size_t r = 0; r < rows; ++r, row += vocab) {
+        int best = 0;
+        float best_v = row[0];
+        for (int c = 1; c < vocab; ++c) {
+            if (row[c] > best_v) {
+                best_v = row[c];
+                best = c;
             }
         }
+        tokens.push_back(best);
     }
     return tokens;
 }
@@ -104,8 +104,11 @@ bleuMetric(double tolerance)
             return false;
         std::vector<int> ref = decodeTokens(golden);
         std::vector<int> hyp = decodeTokens(faulty);
-        // The fault-free score is 1; accept within the band.
-        return bleuScore(ref, hyp) >= 1.0 - tolerance;
+        // The fault-free score is 1; accept within the band.  Equal
+        // sequences score exactly 1.0, so the common unchanged decode
+        // skips the n-gram tables and gives the same answer.
+        const double score = ref == hyp ? 1.0 : bleuScore(ref, hyp);
+        return score >= 1.0 - tolerance;
     };
 }
 

@@ -7,11 +7,13 @@
  * on a multi-branch DAG with grouped/dilated/strided/padded
  * convolutions; ragged batches (fewer live lanes than the engine
  * width, non-contiguous lane indices); per-lane early-exit divergence
- * inside one batch; the FC and softmax batched kernels against
- * per-lane forwardRegion (every precision, special values, raw and
- * stored-form planes, with and without coverage); campaign-checksum
- * invariance under batch width, thread count, result cache, and
- * kill-and-resume, on resnet and on the transformer; and batch-width
+ * inside one batch; the conv, FC, matmul and softmax batched kernels
+ * against per-lane forwardRegion (every precision, special values,
+ * raw and stored-form planes, with and without coverage); the
+ * separable diff scan against a brute-force per-lane box;
+ * campaign-checksum invariance under batch width, thread count,
+ * result cache, and kill-and-resume, on resnet and on the
+ * transformer; and batch-width
  * validation at both the engine factory and the campaign config.
  */
 
@@ -36,6 +38,7 @@
 #include "nn/fc.hh"
 #include "nn/incremental.hh"
 #include "nn/init.hh"
+#include "nn/matmul.hh"
 #include "nn/network.hh"
 #include "nn/pool.hh"
 #include "nn/region.hh"
@@ -129,8 +132,8 @@ makeBranchy(std::uint64_t seed)
 }
 
 /** One transformer encoder block plus a vocabulary FC and softmax
- *  (as in test_incremental): FC and softmax on batched kernels, the
- *  matmuls on the per-lane fallback, fed through both inputs. */
+ *  (as in test_incremental): FC, softmax and the matmuls — fed
+ *  through both inputs — on batched kernels. */
 Network
 makeAttention(std::uint64_t seed)
 {
@@ -177,41 +180,48 @@ struct LaneFault
 {
     std::size_t flat;
     float value;
+    int input = 0; //!< which layer input the element belongs to
 };
 
 /**
  * Run `layer`'s forwardRegionBatched at lane width W, lane l reading
- * `x` with faults[l] applied, and check every lane of the recomputed
- * region bit for bit against forwardRegion on that lane's own input.
- * `stored` keeps the input plane's stored-form flag (the caller then
- * supplies FP16 stored-form `x` and faults); otherwise the plane is
- * marked raw.
+ * the inputs `xs` with faults[l] applied, and check every lane of the
+ * recomputed region bit for bit against forwardRegion on that lane's
+ * own inputs.  An input no lane perturbs keeps an empty plane (every
+ * lane reads golden).  `stored` keeps the input planes' stored-form
+ * flag (the caller then supplies FP16 stored-form inputs and faults);
+ * otherwise the planes are marked raw.
  * With `useCover`, the region is the bounding box of the lane cones
  * and the kernel walks only their coverage.
  */
 template <int W>
 void
-checkBatchedKernel(const Layer &layer, const Tensor &x,
+checkBatchedKernel(const Layer &layer, const std::vector<Tensor> &xs,
                    const std::vector<std::vector<LaneFault>> &faults,
                    bool stored, bool useCover, const std::string &what)
 {
-    std::vector<const Tensor *> ins{&x};
+    std::vector<const Tensor *> ins;
+    for (const Tensor &x : xs)
+        ins.push_back(&x);
     const Tensor golden = layer.forward(ins);
-    LanePlane xp;
-    xp.reset(W);
-    xp.ensure(x, Region::full(x));
-    if (!stored)
-        xp.markRaw();
-    std::vector<Tensor> laneIn(W, x);
+    std::vector<LanePlane> xp(xs.size());
+    for (LanePlane &p : xp) {
+        p.reset(W);
+        if (!stored)
+            p.markRaw();
+    }
+    std::vector<std::vector<Tensor>> laneIn(W, xs);
     std::array<Region, W> cones{};
     std::uint32_t mask = 0;
     Region bbox;
     for (int l = 0; l < W && l < static_cast<int>(faults.size()); ++l) {
         for (const LaneFault &f : faults[l]) {
-            laneIn[l][f.flat] = f.value;
-            xp.lanes(f.flat)[l] = f.value;
+            const Tensor &x = xs[f.input];
+            xp[f.input].ensure(x, Region::full(x));
+            laneIn[l][f.input][f.flat] = f.value;
+            xp[f.input].lanes(f.flat)[l] = f.value;
             cones[l].merge(layer.propagateRegion(
-                ins, 0, Region::of(x.indexOf(f.flat)), golden));
+                ins, f.input, Region::of(x.indexOf(f.flat)), golden));
         }
         if (!cones[l].empty()) {
             mask |= 1u << l;
@@ -225,13 +235,18 @@ checkBatchedKernel(const Layer &layer, const Tensor &x,
     LanePlane op;
     op.reset(W);
     op.ensure(golden, region);
-    LanePlane *planes[] = {&xp};
-    ASSERT_TRUE(layer.forwardRegionBatched(
-        ins, planes, region, useCover ? &cover : nullptr, golden, op))
+    std::vector<LanePlane *> planes;
+    for (LanePlane &p : xp)
+        planes.push_back(&p);
+    ASSERT_TRUE(layer.forwardRegionBatched(ins, planes.data(), region,
+                                           useCover ? &cover : nullptr,
+                                           golden, op))
         << what;
     for (int l = 0; l < W; ++l) {
         Tensor ref = golden;
-        std::vector<const Tensor *> lins{&laneIn[l]};
+        std::vector<const Tensor *> lins;
+        for (const Tensor &x : laneIn[l])
+            lins.push_back(&x);
         layer.forwardRegion(lins, region, ref);
         for (int n = region.n0; n < region.n1; ++n)
             for (int h = region.h0; h < region.h1; ++h)
@@ -474,12 +489,100 @@ TEST(BatchedKernel, FcMatchesPerLaneForwardRegion)
                         fc->name() + " " + precisionName(p) +
                         (stored ? " stored" : " raw") +
                         (cover ? " covered" : " dense");
-                    checkBatchedKernel<4>(*fc, x,
+                    checkBatchedKernel<4>(*fc, {x},
                                           laneFaults(x, 4, stored, 123),
                                           stored, cover, what);
-                    checkBatchedKernel<8>(*fc, x,
+                    checkBatchedKernel<8>(*fc, {x},
                                           laneFaults(x, 8, stored, 124),
                                           stored, cover, what);
+                }
+            }
+        }
+    }
+}
+
+TEST(BatchedKernel, ConvMatchesPerLaneForwardRegion)
+{
+    // Padded 3x3 and grouped convolutions; laneFaults' NaN lane makes
+    // the INT8 and INT16 narrow gathers decline and rerun wide.
+    const Tensor raw = randomTensor(161, 2, 5, 6, 4);
+    auto plain = makeConv("c3", {.inC = 4, .outC = 6, .pad = 1}, 162);
+    auto grouped = makeConv(
+        "g2", {.inC = 4, .outC = 8, .pad = 1, .groups = 2}, 163);
+    for (Conv2D *conv : {plain.get(), grouped.get()}) {
+        for (Precision p : {Precision::FP32, Precision::FP16,
+                            Precision::INT16, Precision::INT8}) {
+            conv->setPrecision(p);
+            if (p == Precision::INT8 || p == Precision::INT16) {
+                std::vector<const Tensor *> ins{&raw};
+                conv->calibrate(ins, conv->forward(ins));
+            }
+            for (bool cover : {false, true}) {
+                const std::string what = conv->name() + " " +
+                                         precisionName(p) +
+                                         (cover ? " covered" : " dense");
+                checkBatchedKernel<4>(*conv, {raw},
+                                      laneFaults(raw, 4, false, 164),
+                                      false, cover, what);
+                checkBatchedKernel<8>(*conv, {raw},
+                                      laneFaults(raw, 8, false, 165),
+                                      false, cover, what);
+            }
+        }
+    }
+}
+
+TEST(BatchedKernel, MatMulMatchesPerLaneForwardRegion)
+{
+    // Odd reduction and a column count off every pack width; A with
+    // two batch entries.  Lanes perturb A only, B only, or — in the
+    // mixed batch — A, B or both (the attention case), cycling
+    // through laneFaults' special values.
+    const Tensor rawA = randomTensor(141, 2, 5, 1, 7);
+    for (bool transB : {true, false}) {
+        MatMulAB mm(transB ? "qkT" : "av", transB, transB ? 0.375f : 1.0f);
+        const Tensor rawB = transB ? randomTensor(142, 1, 6, 1, 7)
+                                   : randomTensor(142, 1, 7, 1, 6);
+        for (Precision p : {Precision::FP32, Precision::FP16,
+                            Precision::INT16, Precision::INT8}) {
+            mm.setPrecision(p);
+            if (p == Precision::INT8 || p == Precision::INT16) {
+                std::vector<const Tensor *> ins{&rawA, &rawB};
+                mm.calibrate(ins, mm.forward(ins));
+            }
+            for (bool stored : {false, true}) {
+                const std::vector<Tensor> xs = {
+                    stored ? halfRounded(rawA) : rawA,
+                    stored ? halfRounded(rawB) : rawB};
+                for (const char *dirty : {"A", "B", "mixed"}) {
+                    auto faults = [&](int lanes, std::uint64_t seed) {
+                        auto fa = laneFaults(xs[0], lanes, stored, seed);
+                        auto fb = laneFaults(xs[1], lanes, stored, seed + 1);
+                        std::vector<std::vector<LaneFault>> out(lanes);
+                        for (int l = 0; l < lanes; ++l) {
+                            const int kind = dirty[0] == 'A' ? 0
+                                           : dirty[0] == 'B' ? 1
+                                                             : l % 3;
+                            if (kind != 1)
+                                out[l] = fa[l];
+                            if (kind != 0)
+                                for (LaneFault f : fb[l]) {
+                                    f.input = 1;
+                                    out[l].push_back(f);
+                                }
+                        }
+                        return out;
+                    };
+                    for (bool cover : {false, true}) {
+                        const std::string what =
+                            mm.name() + " " + precisionName(p) +
+                            (stored ? " stored" : " raw") + " dirty " +
+                            dirty + (cover ? " covered" : " dense");
+                        checkBatchedKernel<4>(mm, xs, faults(4, 143),
+                                              stored, cover, what);
+                        checkBatchedKernel<8>(mm, xs, faults(8, 145),
+                                              stored, cover, what);
+                    }
                 }
             }
         }
@@ -499,9 +602,9 @@ TEST(BatchedKernel, SoftmaxMatchesPerLaneForwardRegionAndMarksRaw)
                     std::string("softmax ") + precisionName(p) +
                     (stored ? " stored" : " raw") +
                     (cover ? " covered" : " dense");
-                checkBatchedKernel<4>(sm, x, laneFaults(x, 4, stored, 132),
+                checkBatchedKernel<4>(sm, {x}, laneFaults(x, 4, stored, 132),
                                       stored, cover, what);
-                checkBatchedKernel<8>(sm, x, laneFaults(x, 8, stored, 133),
+                checkBatchedKernel<8>(sm, {x}, laneFaults(x, 8, stored, 133),
                                       stored, cover, what);
             }
         }
@@ -520,6 +623,137 @@ TEST(BatchedKernel, SoftmaxMatchesPerLaneForwardRegionAndMarksRaw)
     ASSERT_TRUE(sm.forwardRegionBatched(ins, planes, Region::full(golden),
                                         nullptr, golden, op));
     EXPECT_FALSE(op.storedForm());
+}
+
+namespace
+{
+
+/**
+ * One random changedLaneBoxes case at lane width W: a golden tensor
+ * holding +0 and NaN, lanes changed at random elements (sign flips,
+ * so +0 becomes -0, other NaN payloads, random values), scanned over
+ * the union of random lane cones with their coverage or over a
+ * random box without it.  Checked against each lane's brute-force
+ * bounding box of the bitwise-changed scanned elements.
+ */
+template <int W>
+void
+checkScan(Rng &rng, bool useCover)
+{
+    Tensor golden = randomTensor(rng.next64(), 2, 5, 6, 9);
+    auto pick = [&](std::size_t n) {
+        return static_cast<int>(rng.below(static_cast<std::uint32_t>(n)));
+    };
+    for (int i = 0; i < 12; ++i)
+        golden[pick(golden.size())] = 0.0f;
+    for (int i = 0; i < 6; ++i)
+        golden[pick(golden.size())] =
+            std::bit_cast<float>(std::uint32_t{0x7fc00000});
+    LanePlane plane;
+    plane.reset(W);
+    plane.ensure(golden, Region::full(golden));
+
+    auto randomBox = [&] {
+        auto axis = [&](int len, int &lo, int &hi) {
+            lo = pick(len);
+            hi = lo + 1 + pick(len - lo);
+        };
+        Region r;
+        axis(golden.n(), r.n0, r.n1);
+        axis(golden.h(), r.h0, r.h1);
+        axis(golden.w(), r.w0, r.w1);
+        axis(golden.c(), r.c0, r.c1);
+        return r;
+    };
+    std::array<Region, W> cones{};
+    std::uint32_t mask = 0;
+    Region bbox;
+    for (int l = 0; l < W; ++l) {
+        if (pick(4) == 0)
+            continue;
+        cones[l] = randomBox();
+        mask |= 1u << l;
+        bbox.merge(cones[l]);
+    }
+    if (!mask)
+        return;
+    BatchCover cover;
+    if (useCover)
+        cover.build(cones.data(), mask, W, bbox);
+    const Region region = useCover ? bbox : randomBox();
+
+    for (int l = 0; l < W; ++l) {
+        const int changes = pick(5);
+        for (int i = 0; i < changes; ++i) {
+            const std::size_t f = pick(golden.size());
+            float &v = plane.lanes(f)[l];
+            switch (pick(3)) {
+              case 0:
+                v = -golden[f];
+                break;
+              case 1:
+                v = std::bit_cast<float>(
+                    std::uint32_t{0x7fc00001} + pick(4));
+                break;
+              default:
+                v = static_cast<float>(rng.normal(0, 1));
+            }
+        }
+    }
+
+    auto scanned = [&](int n, int h, int w, int c) {
+        if (!useCover)
+            return true;
+        int cnt = 0;
+        bool inRow = false;
+        const BatchCover::Span *sp = cover.row(n, h, cnt);
+        for (int i = 0; i < cnt; ++i)
+            inRow = inRow || (w >= sp[i].w0 && w < sp[i].w1);
+        bool inChan = false;
+        const BatchCover::Span *cs = cover.chanSpans(cnt);
+        for (int i = 0; i < cnt; ++i)
+            inChan = inChan || (c >= cs[i].w0 && c < cs[i].w1);
+        return inRow && inChan;
+    };
+    std::array<Region, W> want{};
+    for (int n = region.n0; n < region.n1; ++n)
+        for (int h = region.h0; h < region.h1; ++h)
+            for (int w = region.w0; w < region.w1; ++w)
+                for (int c = region.c0; c < region.c1; ++c) {
+                    if (!scanned(n, h, w, c))
+                        continue;
+                    const std::size_t f = golden.offset(n, h, w, c);
+                    for (int l = 0; l < W; ++l)
+                        if (std::bit_cast<std::uint32_t>(
+                                plane.lanes(f)[l]) !=
+                            std::bit_cast<std::uint32_t>(golden[f]))
+                            want[l].include({n, h, w, c});
+                }
+
+    std::vector<std::uint32_t> scratch;
+    std::array<Region, W> got{};
+    const std::uint32_t live = changedLaneBoxes(
+        plane, golden, region, useCover ? &cover : nullptr, scratch,
+        got.data());
+    for (int l = 0; l < W; ++l) {
+        ASSERT_EQ(((live >> l) & 1u) != 0, !want[l].empty())
+            << "W " << W << " lane " << l;
+        if (!want[l].empty())
+            EXPECT_EQ(got[l], want[l]) << "W " << W << " lane " << l;
+    }
+}
+
+} // namespace
+
+TEST(BatchedScan, ChangedLaneBoxesMatchBruteForce)
+{
+    Rng rng(151);
+    for (int trial = 0; trial < 60; ++trial) {
+        for (bool cover : {false, true}) {
+            checkScan<4>(rng, cover);
+            checkScan<8>(rng, cover);
+        }
+    }
 }
 
 TEST(BatchedCampaign, ChecksumInvariantUnderWidthThreadsCache)
@@ -556,9 +790,9 @@ TEST(BatchedCampaign, ChecksumInvariantUnderWidthThreadsCache)
 
 TEST(BatchedCampaign, TransformerChecksumInvariantUnderWidthAndThreads)
 {
-    // Attention networks run FC and softmax on batched kernels and
-    // matmuls on per-lane fallback cones: the campaign must match the
-    // dense and the B = 1 result at every width and thread count.
+    // Attention networks run FC, softmax and two-operand matmuls on
+    // batched kernels: the campaign must match the dense and the B = 1
+    // result at every width and thread count.
     for (Precision p : {Precision::FP16, Precision::INT8}) {
         Network net = buildTransformer(3);
         Tensor x = defaultInputFor("transformer", 4);

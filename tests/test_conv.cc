@@ -353,6 +353,27 @@ TEST(Conv, ComputeNeuronMatchesForward)
     }
 }
 
+TEST(Conv, Int8NanInputMatchesComputeNeuron)
+{
+    // A NaN operand quantises to INT32_MIN, which has no int16 form:
+    // the narrow kernels decline its windows, so forward() multiplies
+    // it exactly as computeNeuron() does.
+    Fixture f;
+    f.conv->setPrecision(Precision::INT8);
+    f.conv->calibrate(f.ins, f.conv->forward(f.ins));
+    f.x.at(0, 2, 3, 1) = std::numeric_limits<float>::quiet_NaN();
+    Tensor out = f.conv->forward(f.ins);
+    int diffs = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const float ref =
+            f.conv->computeNeuron(f.ins, out.indexOf(i), nullptr);
+        if (std::bit_cast<std::uint32_t>(ref) !=
+            std::bit_cast<std::uint32_t>(out[i]))
+            ++diffs;
+    }
+    EXPECT_EQ(diffs, 0);
+}
+
 TEST(Conv, InputConsumersMatchBruteForce)
 {
     // Property: the consumer set of an input element equals the set of

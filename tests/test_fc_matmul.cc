@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "nn/fc.hh"
@@ -27,7 +30,69 @@ randomTensor(Rng &rng, int n, int h, int w, int c)
     return t;
 }
 
+/**
+ * forward() against per-neuron computeNeuron(), bit for bit; returns
+ * how many outputs differ.
+ */
+int
+forwardVsComputeNeuron(const MacLayer &layer,
+                       const std::vector<const Tensor *> &ins)
+{
+    const Tensor out = layer.forward(ins);
+    int diffs = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const float ref = layer.computeNeuron(ins, out.indexOf(i), nullptr);
+        if (std::bit_cast<std::uint32_t>(ref) !=
+            std::bit_cast<std::uint32_t>(out[i])) {
+            ADD_FAILURE() << layer.name() << " at "
+                          << out.indexOf(i).str() << ": forward "
+                          << out[i] << ", computeNeuron " << ref;
+            ++diffs;
+        }
+    }
+    return diffs;
+}
+
+const float kNaN = std::numeric_limits<float>::quiet_NaN();
+
 } // namespace
+
+TEST(FC, Int8NanInputMatchesComputeNeuron)
+{
+    // A NaN operand quantises to INT32_MIN, which has no int16 form:
+    // the narrow kernels must decline its row so forward() multiplies
+    // it exactly as computeNeuron() does.
+    Rng rng(11);
+    FC fc("f", 16, 8, heWeights(rng, 16 * 8, 16), smallBiases(rng, 8));
+    Tensor x = randomTensor(rng, 1, 3, 1, 16);
+    std::vector<const Tensor *> ins{&x};
+    fc.setPrecision(Precision::INT8);
+    fc.calibrate(ins, fc.forward(ins));
+    x.at(0, 1, 0, 5) = kNaN;
+    EXPECT_EQ(forwardVsComputeNeuron(fc, ins), 0);
+}
+
+TEST(MatMul, Int8NanOperandsMatchComputeNeuron)
+{
+    // NaN in A (the narrow path's operand rows) and in B (the packed
+    // side), with and without transB.
+    for (bool transB : {true, false}) {
+        for (int side : {0, 1}) {
+            Rng rng(12);
+            MatMulAB mm("mm", transB, 0.25f);
+            Tensor a = randomTensor(rng, 1, 4, 1, 16);
+            Tensor b = transB ? randomTensor(rng, 1, 8, 1, 16)
+                              : randomTensor(rng, 1, 16, 1, 8);
+            std::vector<const Tensor *> ins{&a, &b};
+            mm.setPrecision(Precision::INT8);
+            mm.calibrate(ins, mm.forward(ins));
+            (side == 0 ? a : b)[9] = kNaN;
+            EXPECT_EQ(forwardVsComputeNeuron(mm, ins), 0)
+                << "transB " << transB << " NaN in "
+                << (side == 0 ? "A" : "B");
+        }
+    }
+}
 
 TEST(FC, MatchesManualDotProduct)
 {

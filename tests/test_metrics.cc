@@ -176,3 +176,45 @@ TEST(Metrics, NanAlwaysFails)
     EXPECT_TRUE(hasInvalidValues(faulty));
     EXPECT_FALSE(hasInvalidValues(golden));
 }
+
+TEST(Metrics, BleuMetricShortcutMatchesFullScore)
+{
+    // bleuMetric skips the n-gram tables when the decoded sequences
+    // are equal; its verdict must be the full bleuScore band check's
+    // on every output and tolerance, negative tolerance included.
+    Tensor golden(1, 8, 1, 5);
+    for (int h = 0; h < 8; ++h)
+        golden.at(0, h, 0, (3 * h + 1) % 5) = 1.0f;
+    Tensor changed = golden;
+    changed.at(0, 4, 0, 0) = 2.0f; // one token differs
+    Tensor nan = golden;
+    nan.at(0, 2, 0, 1) = std::numeric_limits<float>::quiet_NaN();
+    const Tensor empty;
+
+    struct Case
+    {
+        const char *name;
+        const Tensor &ref;
+        const Tensor &out;
+    };
+    const Case cases[] = {{"identical", golden, golden},
+                          {"one token", golden, changed},
+                          {"nan", golden, nan},
+                          {"empty", empty, empty}};
+    for (double tol : {0.10, 0.0, -0.1}) {
+        for (const Case &c : cases) {
+            const bool full =
+                !hasInvalidValues(c.out) &&
+                bleuScore(decodeTokens(c.ref), decodeTokens(c.out)) >=
+                    1.0 - tol;
+            EXPECT_EQ(bleuMetric(tol)(c.ref, c.out), full)
+                << c.name << " tolerance " << tol;
+        }
+    }
+    // The cases are not vacuous: an identical decode passes at zero
+    // tolerance and fails below it; one changed token fails at zero.
+    EXPECT_TRUE(bleuMetric(0.0)(golden, golden));
+    EXPECT_FALSE(bleuMetric(-0.1)(golden, golden));
+    EXPECT_FALSE(bleuMetric(0.0)(golden, changed));
+    EXPECT_FALSE(bleuMetric(0.10)(golden, nan));
+}

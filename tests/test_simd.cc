@@ -934,6 +934,60 @@ TEST(SimdBatchMac, F32ColumnsMatchSingleColumnScalarReference)
     }
 }
 
+TEST(SimdBatchMac, LaneMacColumnsMatchSingleColumnScalarReference)
+{
+    // Both operands per lane; b columns bcol apart, reduction steps
+    // bstride apart (the transB and plain MatMulAB layouts).
+    SimdToggle toggle;
+    simd::setEnabled(true);
+    BackendForce guard;
+    Rng rng(1403);
+    for (int red : kBatchReds) {
+        for (int W : kBatchWs) {
+            for (bool transB : {true, false}) {
+                for (int ncols = 1; ncols <= 9; ++ncols) {
+                    const std::size_t bstride =
+                        transB ? W : static_cast<std::size_t>(ncols) * W;
+                    const std::size_t bcol =
+                        transB ? static_cast<std::size_t>(red) * W : W;
+                    std::vector<float> a(static_cast<std::size_t>(red) * W);
+                    std::vector<float> b(static_cast<std::size_t>(red) *
+                                         ncols * W);
+                    for (float &v : a)
+                        v = batchMacOperand(rng);
+                    for (float &v : b)
+                        v = batchMacOperand(rng);
+                    std::vector<float> ref(
+                        static_cast<std::size_t>(ncols) * W);
+                    for (int c = 0; c < ncols; ++c)
+                        for (int l = 0; l < W; ++l) {
+                            float s = 0.0f;
+                            for (int k = 0; k < red; ++k) {
+                                float prod = a[k * W + l] *
+                                             b[c * bcol + k * bstride + l];
+                                s += prod;
+                            }
+                            ref[c * W + l] = s;
+                        }
+                    for (const char *n : availableBackends()) {
+                        ASSERT_TRUE(simd::forceBackend(n));
+                        std::vector<float> acc(ref.size(), -777.0f);
+                        simd::table().laneMacF32(a.data(), b.data(), red,
+                                                 bstride, bcol, W, ncols,
+                                                 acc.data());
+                        for (std::size_t i = 0; i < ref.size(); ++i)
+                            ASSERT_EQ(std::bit_cast<std::uint32_t>(acc[i]),
+                                      std::bit_cast<std::uint32_t>(ref[i]))
+                                << "backend " << n << " red " << red
+                                << " W " << W << " transB " << transB
+                                << " ncols " << ncols << " at " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(SimdBatchMac, I64ColumnsMatchSingleColumnReference)
 {
     SimdToggle toggle;
